@@ -7,21 +7,20 @@
 //! fsyncs the run bought (`fsyncs_total`, read as the delta of the
 //! server's `serve.wal.fsyncs` counter over the `telemetry` wire verb)
 //! and how many fsyncs each acknowledged command cost
-//! (`fsyncs_per_cmd` — the number group commit exists to push far
-//! below 1.0). The report is schema-checked by
+//! (`fsyncs_per_cmd` — the number the per-batch flush pass exists to
+//! push far below 1.0). The report is schema-checked by
 //! [`BenchReport::validate`] **before** any timing claim is written —
 //! a bench that cannot vouch for its own numbers emits nothing.
 //!
-//! [`run_suite`] goes further: it spawns two private servers — one
-//! with group commit, one flushing per run — drives both with the same
-//! load, and reports the durable-throughput speedup alongside a
-//! recovery benchmark ([`run_recovery_bench`]) that times session
-//! recovery with and without a snapshot across growing WAL histories,
-//! demonstrating that snapshot recovery cost is flat in history
-//! length.
+//! [`run_suite`] goes further: it drives a private server with the
+//! load, then adds a recovery benchmark ([`run_recovery_bench`]) that
+//! times session recovery with and without a snapshot across growing
+//! WAL histories — demonstrating that snapshot recovery cost is flat
+//! in history length — and a connection-scaling axis
+//! ([`run_conn_scaling`]).
 
 use crate::client::Client;
-use crate::config::{standard_library, IoModel, ServeConfig};
+use crate::config::{standard_library, ServeConfig};
 use crate::fault::ServeFaults;
 use crate::net::{Bind, BoundAddr};
 use crate::proto::{Reply, ReplyBody, RequestBody, TelemetryFormat};
@@ -41,11 +40,6 @@ pub struct BenchConfig {
     pub commands: usize,
     /// Pipelined requests in flight per connection.
     pub window: usize,
-    /// The driven server's group-commit window in microseconds, stamped
-    /// into the report as provenance: `Some(0)` means group commit is
-    /// off (one fsync per run), `None` means unknown (a remote server
-    /// whose configuration the bench cannot see).
-    pub group_commit_us: Option<u64>,
 }
 
 impl Default for BenchConfig {
@@ -54,7 +48,6 @@ impl Default for BenchConfig {
             sessions: 4,
             commands: 1000,
             window: 32,
-            group_commit_us: None,
         }
     }
 }
@@ -62,7 +55,7 @@ impl Default for BenchConfig {
 /// What the bench measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Report schema tag, always `riot-serve-bench/2`.
+    /// Report schema tag, always `riot-serve-bench/3`.
     pub schema: String,
     /// Concurrent sessions driven.
     pub sessions: usize,
@@ -70,17 +63,14 @@ pub struct BenchReport {
     pub commands_total: usize,
     /// Pipeline window per connection.
     pub window: usize,
-    /// Group-commit window of the driven server, microseconds
-    /// (`Some(0)` = off, `None` = unknown/remote).
-    pub group_commit_us: Option<u64>,
     /// Wall-clock for the whole run, milliseconds.
     pub elapsed_ms: f64,
     /// Acknowledged commands per second (all sessions combined).
     pub cmds_per_sec: f64,
     /// WAL fsyncs the run performed (`serve.wal.fsyncs` delta).
     pub fsyncs_total: u64,
-    /// Fsyncs per acknowledged command — group commit's whole point is
-    /// pushing this far below 1.0.
+    /// Fsyncs per acknowledged command — the flush pass's whole point
+    /// is pushing this far below 1.0.
     pub fsyncs_per_cmd: f64,
     /// Request latency percentiles, microseconds.
     pub p50_us: u64,
@@ -101,7 +91,7 @@ impl BenchReport {
     ///
     /// A description of the first inconsistent field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != "riot-serve-bench/2" {
+        if self.schema != "riot-serve-bench/3" {
             return Err(format!("bad schema tag `{}`", self.schema));
         }
         if self.sessions == 0 {
@@ -148,22 +138,17 @@ impl BenchReport {
         Ok(())
     }
 
-    /// The report as pretty-printed JSON (`riot-serve-bench/2`).
+    /// The report as pretty-printed JSON (`riot-serve-bench/3`).
     pub fn to_json(&self) -> String {
-        let gc = match self.group_commit_us {
-            Some(us) => us.to_string(),
-            None => "null".to_owned(),
-        };
         format!(
             "{{\n  \"schema\": \"{}\",\n  \"sessions\": {},\n  \"commands_total\": {},\n  \
-             \"window\": {},\n  \"group_commit_us\": {},\n  \"elapsed_ms\": {:.2},\n  \
+             \"window\": {},\n  \"elapsed_ms\": {:.2},\n  \
              \"cmds_per_sec\": {:.1},\n  \"fsyncs_total\": {},\n  \"fsyncs_per_cmd\": {:.4},\n  \
              \"p50_us\": {},\n  \"p95_us\": {},\n  \"p99_us\": {},\n  \"busy_retries\": {}\n}}\n",
             self.schema,
             self.sessions,
             self.commands_total,
             self.window,
-            gc,
             self.elapsed_ms,
             self.cmds_per_sec,
             self.fsyncs_total,
@@ -189,12 +174,10 @@ pub struct RecoveryPoint {
     pub tail_records: usize,
 }
 
-/// One connection-scaling measurement: `connections` open clients
-/// (most idle, `active` driving commands) against one io model.
+/// One connection-scaling measurement: `connections` open clients,
+/// most idle, `active` driving commands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConnScalePoint {
-    /// The io model the server ran (`poll` / `threads`).
-    pub io_model: String,
     /// Total open connections held for the whole measurement.
     pub connections: usize,
     /// Connections actively driving commands (the rest sit idle).
@@ -209,9 +192,6 @@ pub struct ConnScalePoint {
 
 impl ConnScalePoint {
     fn validate(&self) -> Result<(), String> {
-        if self.io_model != "poll" && self.io_model != "threads" {
-            return Err(format!("bad io_model `{}`", self.io_model));
-        }
         if self.active == 0 || self.connections < self.active {
             return Err(format!(
                 "connections {} must cover active {}",
@@ -239,68 +219,44 @@ impl ConnScalePoint {
 
     fn to_json_line(&self) -> String {
         format!(
-            "    {{ \"io_model\": \"{}\", \"connections\": {}, \"active\": {}, \
+            "    {{ \"connections\": {}, \"active\": {}, \
              \"commands_total\": {}, \"elapsed_ms\": {:.2}, \"cmds_per_sec\": {:.1} }}",
-            self.io_model,
-            self.connections,
-            self.active,
-            self.commands_total,
-            self.elapsed_ms,
-            self.cmds_per_sec
+            self.connections, self.active, self.commands_total, self.elapsed_ms, self.cmds_per_sec
         )
     }
 }
 
-/// A grouped-vs-baseline comparison plus the recovery curve and the
-/// connection-scaling axis — what `riot-serve bench --suite` writes to
-/// `BENCH_serve.json`.
+/// One run plus the recovery curve and the connection-scaling axis —
+/// what `riot-serve bench --suite` writes to `BENCH_serve.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchSuite {
-    /// Suite schema tag, always `riot-serve-bench-suite/2`.
+    /// Suite schema tag, always `riot-serve-bench-suite/3`.
     pub schema: String,
-    /// The run against a group-committing server.
-    pub grouped: BenchReport,
-    /// The same load against a server flushing once per run.
-    pub baseline: BenchReport,
-    /// `grouped.cmds_per_sec / baseline.cmds_per_sec`.
-    pub speedup: f64,
+    /// The load driven through a private server.
+    pub run: BenchReport,
     /// Recovery timings across growing histories; `snapshot_ms` should
     /// stay flat while `full_replay_ms` grows.
     pub recovery: Vec<RecoveryPoint>,
     /// Throughput while holding growing herds of mostly-idle
-    /// connections, per io model. The poll model's axis must extend at
-    /// least as far as the threads model's — holding more connections
-    /// than thread-per-connection can is the readiness loop's job.
+    /// connections: a connection plane that degrades while merely
+    /// holding sockets shows up as a cliff along the axis.
     pub conn_scaling: Vec<ConnScalePoint>,
 }
 
 impl BenchSuite {
-    /// Validates both embedded reports, the speedup arithmetic, the
-    /// recovery curve's shape (non-empty, histories increasing,
-    /// positive timings), and the connection-scaling axis (non-empty,
-    /// consistent points, connections increasing per io model, and the
-    /// poll model scaling at least as far as the threads model).
+    /// Validates the embedded report, the recovery curve's shape
+    /// (non-empty, histories increasing, positive timings), and the
+    /// connection-scaling axis (non-empty, consistent points,
+    /// connections increasing).
     ///
     /// # Errors
     ///
     /// A description of the first inconsistent field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != "riot-serve-bench-suite/2" {
+        if self.schema != "riot-serve-bench-suite/3" {
             return Err(format!("bad suite schema tag `{}`", self.schema));
         }
-        self.grouped
-            .validate()
-            .map_err(|e| format!("grouped: {e}"))?;
-        self.baseline
-            .validate()
-            .map_err(|e| format!("baseline: {e}"))?;
-        let implied = self.grouped.cmds_per_sec / self.baseline.cmds_per_sec;
-        if !(self.speedup.is_finite() && (implied - self.speedup).abs() / implied < 0.01) {
-            return Err(format!(
-                "speedup {:.2} disagrees with throughput ratio {:.2}",
-                self.speedup, implied
-            ));
-        }
+        self.run.validate().map_err(|e| format!("run: {e}"))?;
         if self.recovery.is_empty() {
             return Err("recovery curve is empty".into());
         }
@@ -321,36 +277,19 @@ impl BenchSuite {
         if self.conn_scaling.is_empty() {
             return Err("connection-scaling axis is empty".into());
         }
-        let mut max_conns: HashMap<&str, usize> = HashMap::new();
-        let mut last: HashMap<&str, usize> = HashMap::new();
         for p in &self.conn_scaling {
             p.validate()
-                .map_err(|e| format!("conn_scaling [{} @{}]: {e}", p.io_model, p.connections))?;
-            if last
-                .get(p.io_model.as_str())
-                .is_some_and(|&n| p.connections <= n)
-            {
-                return Err(format!(
-                    "{} connections must be strictly increasing",
-                    p.io_model
-                ));
-            }
-            last.insert(&p.io_model, p.connections);
-            let m = max_conns.entry(&p.io_model).or_default();
-            *m = (*m).max(p.connections);
+                .map_err(|e| format!("conn_scaling [@{}]: {e}", p.connections))?;
         }
-        let poll_max = *max_conns
-            .get("poll")
-            .ok_or("connection-scaling axis has no poll points")?;
-        if max_conns.get("threads").is_some_and(|&t| poll_max < t) {
-            return Err(format!(
-                "poll axis tops out at {poll_max} connections, below the threads axis"
-            ));
+        for pair in self.conn_scaling.windows(2) {
+            if pair[1].connections <= pair[0].connections {
+                return Err("scaling connections must be strictly increasing".into());
+            }
         }
         Ok(())
     }
 
-    /// The suite as pretty-printed JSON (`riot-serve-bench-suite/2`).
+    /// The suite as pretty-printed JSON (`riot-serve-bench-suite/3`).
     pub fn to_json(&self) -> String {
         let indent = |block: &str| -> String {
             block
@@ -386,13 +325,10 @@ impl BenchSuite {
             .collect::<Vec<_>>()
             .join(",\n");
         format!(
-            "{{\n  \"schema\": \"{}\",\n  \"grouped\": {},\n  \"baseline\": {},\n  \
-             \"speedup\": {:.2},\n  \"recovery\": [\n{}\n  ],\n  \
-             \"conn_scaling\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"schema\": \"{}\",\n  \"run\": {},\n  \
+             \"recovery\": [\n{}\n  ],\n  \"conn_scaling\": [\n{}\n  ]\n}}\n",
             self.schema,
-            indent(&self.grouped.to_json()),
-            indent(&self.baseline.to_json()),
-            self.speedup,
+            indent(&self.run.to_json()),
             points,
             scaling
         )
@@ -557,11 +493,10 @@ pub fn run_bench(addr: &BoundAddr, cfg: &BenchConfig) -> Result<BenchReport, Str
         latencies[idx.min(latencies.len() - 1)]
     };
     let report = BenchReport {
-        schema: "riot-serve-bench/2".to_owned(),
+        schema: "riot-serve-bench/3".to_owned(),
         sessions: cfg.sessions,
         commands_total: acked,
         window: cfg.window,
-        group_commit_us: cfg.group_commit_us,
         elapsed_ms,
         cmds_per_sec: acked as f64 / (elapsed_ms / 1000.0),
         fsyncs_total,
@@ -578,26 +513,21 @@ pub fn run_bench(addr: &BoundAddr, cfg: &BenchConfig) -> Result<BenchReport, Str
 /// Spawns a private Unix-socket server in a fresh temp directory.
 fn spawn_server(
     tag: &str,
-    group_commit: Option<Duration>,
     snapshot_every: usize,
-    io_model: IoModel,
 ) -> Result<(crate::server::ServerHandle, PathBuf), String> {
     let dir = std::env::temp_dir().join(format!("riot-serve-suite-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let mut cfg = ServeConfig::new(dir.join("wal"));
-    cfg.group_commit = group_commit;
     cfg.snapshot_every = snapshot_every;
-    cfg.io_model = io_model;
     let handle = Server::start(cfg, &Bind::Unix(dir.join("bench.sock")))
         .map_err(|e| format!("cannot spawn {tag} server: {e}"))?;
     Ok((handle, dir))
 }
 
 /// One connection-scaling point: holds `connections` open clients
-/// against a private `io_model` server, keeps all but `cfg.sessions`
-/// of them idle, and measures command throughput through the active
-/// ones. The idle herd is what the point is really measuring — a
+/// against a private server, keeps all but `cfg.sessions` of them
+/// idle, and measures command throughput through the active ones. The idle herd is what the point is really measuring — a
 /// connection plane that degrades while merely *holding* sockets shows
 /// up as a throughput cliff along the axis.
 ///
@@ -606,10 +536,8 @@ fn spawn_server(
 /// Server spawn, connect, or drive failures, or an internally
 /// inconsistent point.
 pub fn run_conn_point(
-    io_model: IoModel,
     connections: usize,
     cfg: &BenchConfig,
-    group_commit_us: u64,
     snapshot_every: usize,
 ) -> Result<ConnScalePoint, String> {
     let active = cfg.sessions.max(1);
@@ -618,13 +546,8 @@ pub fn run_conn_point(
             "{connections} connections cannot cover {active} active sessions"
         ));
     }
-    let tag = format!("conns-{}-{}", io_model.as_str(), connections);
-    let (handle, dir) = spawn_server(
-        &tag,
-        Some(Duration::from_micros(group_commit_us)),
-        snapshot_every,
-        io_model,
-    )?;
+    let tag = format!("conns-{connections}");
+    let (handle, dir) = spawn_server(&tag, snapshot_every)?;
     let addr = handle.addr();
     let run = (|| -> Result<ConnScalePoint, String> {
         let mut idle = Vec::with_capacity(connections - active);
@@ -655,7 +578,6 @@ pub fn run_conn_point(
             acked += run?.acked;
         }
         let point = ConnScalePoint {
-            io_model: io_model.as_str().to_owned(),
             connections,
             active,
             commands_total: acked,
@@ -670,11 +592,7 @@ pub fn run_conn_point(
     run.map_err(|e| format!("{tag}: {e}"))
 }
 
-/// Runs the connection-scaling axis: every count in `scales` against
-/// the poll model, and the counts up to [`THREADS_SCALE_CAP`] against
-/// the threads model (thread-per-connection at a thousand connections
-/// means two thousand OS threads — the axis documents the cliff, it
-/// does not have to fall off it).
+/// Runs the connection-scaling axis: one point per count in `scales`.
 ///
 /// # Errors
 ///
@@ -682,32 +600,13 @@ pub fn run_conn_point(
 pub fn run_conn_scaling(
     scales: &[usize],
     load: &BenchConfig,
-    group_commit_us: u64,
     snapshot_every: usize,
 ) -> Result<Vec<ConnScalePoint>, String> {
-    let mut cfg = load.clone();
-    cfg.group_commit_us = Some(group_commit_us);
-    let mut points = Vec::new();
-    for model in [IoModel::Poll, IoModel::Threads] {
-        for &n in scales {
-            if model == IoModel::Threads && n > THREADS_SCALE_CAP {
-                continue;
-            }
-            points.push(run_conn_point(
-                model,
-                n,
-                &cfg,
-                group_commit_us,
-                snapshot_every,
-            )?);
-        }
-    }
-    Ok(points)
+    scales
+        .iter()
+        .map(|&n| run_conn_point(n, load, snapshot_every))
+        .collect()
 }
-
-/// Largest herd the threads io model is asked to hold on the scaling
-/// axis (each connection costs it two OS threads).
-pub const THREADS_SCALE_CAP: usize = 256;
 
 /// Applies `range` of the bench command mix directly to a session
 /// entry (resume, execute, suspend, one flush) — the recovery bench's
@@ -773,59 +672,31 @@ pub fn run_recovery_bench(histories: &[usize], tail: usize) -> Result<Vec<Recove
     Ok(points)
 }
 
-/// Runs the full comparison suite: the same load against a
-/// group-committing server and a per-run-fsync baseline (both private,
-/// spawned, torn down, pinned to [`IoModel::Threads`] so the A/B
-/// isolates the group-commit window), plus the recovery curve and the
-/// connection-scaling axis ([`run_conn_scaling`] over `conn_scales`,
-/// which exercises both io models). Returns a **validated**
+/// Runs the full suite: the load against a private spawned server,
+/// the recovery curve, and the connection-scaling axis
+/// ([`run_conn_scaling`] over `conn_scales`). Returns a **validated**
 /// [`BenchSuite`].
 ///
 /// # Errors
 ///
-/// Server spawn failures, bench failures on either server, recovery or
-/// scaling bench failures, or a suite that fails its own consistency
-/// check.
+/// Server spawn failures, bench, recovery or scaling bench failures,
+/// or a suite that fails its own consistency check.
 pub fn run_suite(
     load: &BenchConfig,
-    group_commit_us: u64,
     snapshot_every: usize,
     histories: &[usize],
     tail: usize,
     conn_scales: &[usize],
 ) -> Result<BenchSuite, String> {
-    let mut cfg = load.clone();
-    cfg.group_commit_us = Some(group_commit_us);
-    // The A/B legs isolate the *group-commit* effect, so both stay
-    // pinned to the threads io-model the experiment was defined under.
-    // The poll loop's reply routing already batches worker flushes, so
-    // under it the window is neutral and the A/B would measure nothing;
-    // the poll model is covered by the connection-scaling axis instead.
-    let (handle, dir) = spawn_server(
-        "grouped",
-        Some(Duration::from_micros(group_commit_us)),
-        snapshot_every,
-        IoModel::Threads,
-    )?;
-    let grouped = run_bench(&handle.addr(), &cfg);
+    let (handle, dir) = spawn_server("run", snapshot_every)?;
+    let run = run_bench(&handle.addr(), load);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(dir);
-    let grouped = grouped.map_err(|e| format!("grouped run: {e}"))?;
-
-    cfg.group_commit_us = Some(0);
-    let (handle, dir) = spawn_server("baseline", None, snapshot_every, IoModel::Threads)?;
-    let baseline = run_bench(&handle.addr(), &cfg);
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(dir);
-    let baseline = baseline.map_err(|e| format!("baseline run: {e}"))?;
-
     let suite = BenchSuite {
-        schema: "riot-serve-bench-suite/2".to_owned(),
-        speedup: grouped.cmds_per_sec / baseline.cmds_per_sec,
-        grouped,
-        baseline,
+        schema: "riot-serve-bench-suite/3".to_owned(),
+        run: run?,
         recovery: run_recovery_bench(histories, tail)?,
-        conn_scaling: run_conn_scaling(conn_scales, load, group_commit_us, snapshot_every)?,
+        conn_scaling: run_conn_scaling(conn_scales, load, snapshot_every)?,
     };
     suite.validate()?;
     Ok(suite)
@@ -837,11 +708,10 @@ mod tests {
 
     fn sample() -> BenchReport {
         BenchReport {
-            schema: "riot-serve-bench/2".into(),
+            schema: "riot-serve-bench/3".into(),
             sessions: 4,
             commands_total: 200,
             window: 16,
-            group_commit_us: Some(1000),
             elapsed_ms: 20.0,
             cmds_per_sec: 10_000.0,
             fsyncs_total: 50,
@@ -858,18 +728,10 @@ mod tests {
         let r = sample();
         r.validate().unwrap();
         let json = r.to_json();
-        assert!(json.contains("\"schema\": \"riot-serve-bench/2\""));
+        assert!(json.contains("\"schema\": \"riot-serve-bench/3\""));
         assert!(json.contains("\"cmds_per_sec\": 10000.0"));
         assert!(json.contains("\"fsyncs_total\": 50"));
         assert!(json.contains("\"fsyncs_per_cmd\": 0.2500"));
-        assert!(json.contains("\"group_commit_us\": 1000"));
-    }
-
-    #[test]
-    fn unknown_group_commit_serializes_as_null() {
-        let mut r = sample();
-        r.group_commit_us = None;
-        assert!(r.to_json().contains("\"group_commit_us\": null"));
     }
 
     #[test]
@@ -895,9 +757,8 @@ mod tests {
         assert!(r.validate().is_err());
     }
 
-    fn scale_point(io_model: &str, connections: usize) -> ConnScalePoint {
+    fn scale_point(connections: usize) -> ConnScalePoint {
         ConnScalePoint {
-            io_model: io_model.into(),
             connections,
             active: 4,
             commands_total: 400,
@@ -907,18 +768,9 @@ mod tests {
     }
 
     fn sample_suite() -> BenchSuite {
-        let grouped = sample();
-        let mut baseline = sample();
-        baseline.group_commit_us = Some(0);
-        baseline.elapsed_ms = 40.0;
-        baseline.cmds_per_sec = 5_000.0;
-        baseline.fsyncs_total = 200;
-        baseline.fsyncs_per_cmd = 1.0;
         BenchSuite {
-            schema: "riot-serve-bench-suite/2".into(),
-            grouped,
-            baseline,
-            speedup: 2.0,
+            schema: "riot-serve-bench-suite/3".into(),
+            run: sample(),
             recovery: vec![
                 RecoveryPoint {
                     history: 500,
@@ -933,28 +785,23 @@ mod tests {
                     tail_records: 64,
                 },
             ],
-            conn_scaling: vec![
-                scale_point("poll", 64),
-                scale_point("poll", 1024),
-                scale_point("threads", 64),
-                scale_point("threads", 256),
-            ],
+            conn_scaling: vec![scale_point(64), scale_point(1024)],
         }
     }
 
     #[test]
-    fn suite_validation_checks_speedup_and_curve() {
+    fn suite_validation_checks_the_run_and_curve() {
         let suite = sample_suite();
         suite.validate().unwrap();
         let json = suite.to_json();
-        assert!(json.contains("\"schema\": \"riot-serve-bench-suite/2\""));
-        assert!(json.contains("\"speedup\": 2.00"));
+        assert!(json.contains("\"schema\": \"riot-serve-bench-suite/3\""));
+        assert!(json.contains("\"run\": {"));
         assert!(json.contains("\"history\": 2000"));
-        assert!(json.contains("\"io_model\": \"poll\", \"connections\": 1024"));
+        assert!(json.contains("{ \"connections\": 1024"));
 
         let mut bad = suite.clone();
-        bad.speedup = 9.0;
-        assert!(bad.validate().is_err());
+        bad.run.schema = "riot-serve-bench/2".into();
+        assert!(bad.validate().unwrap_err().contains("run"));
 
         let mut bad = suite.clone();
         bad.recovery.clear();
@@ -972,17 +819,8 @@ mod tests {
         assert!(bad.validate().unwrap_err().contains("scaling axis"));
 
         let mut bad = sample_suite();
-        bad.conn_scaling[1].connections = 64; // poll axis not increasing
+        bad.conn_scaling[1].connections = 64; // not increasing
         assert!(bad.validate().is_err());
-
-        let mut bad = sample_suite();
-        bad.conn_scaling.retain(|p| p.io_model == "threads");
-        assert!(bad.validate().unwrap_err().contains("no poll points"));
-
-        // The poll axis must reach at least as far as the threads axis.
-        let mut bad = sample_suite();
-        bad.conn_scaling = vec![scale_point("poll", 64), scale_point("threads", 256)];
-        assert!(bad.validate().unwrap_err().contains("tops out"));
 
         let mut bad = sample_suite();
         bad.conn_scaling[0].active = 0;
@@ -990,10 +828,6 @@ mod tests {
 
         let mut bad = sample_suite();
         bad.conn_scaling[0].cmds_per_sec = 1.0; // disagrees with commands/elapsed
-        assert!(bad.validate().is_err());
-
-        let mut bad = sample_suite();
-        bad.conn_scaling[0].io_model = "fibers".into();
         assert!(bad.validate().is_err());
     }
 
@@ -1003,13 +837,11 @@ mod tests {
             sessions: 2,
             commands: 40,
             window: 8,
-            group_commit_us: Some(500),
         };
-        let point = run_conn_point(IoModel::Poll, 16, &cfg, 500, 0).unwrap();
+        let point = run_conn_point(16, &cfg, 0).unwrap();
         assert_eq!(point.connections, 16);
         assert_eq!(point.active, 2);
         assert_eq!(point.commands_total, 80);
-        assert_eq!(point.io_model, "poll");
     }
 
     #[test]

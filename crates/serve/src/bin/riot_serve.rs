@@ -19,12 +19,11 @@
 //! a single number is printed or written.
 
 use riot_serve::{
-    run_bench, run_suite, BenchConfig, Bind, BoundAddr, Client, IoModel, ServeConfig, Server,
+    run_bench, run_suite, BenchConfig, Bind, BoundAddr, Client, ServeConfig, Server,
     TelemetryFormat,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -44,36 +43,24 @@ SERVE OPTIONS:
     --root DIR         WAL directory (default ./riot-serve-data)
     --threads N        worker threads (default: RIOT_SERVE_THREADS or
                        machine parallelism, clamped to 1..=64)
-    --io-model MODEL   connection plane: `poll` (one readiness event
-                       loop owns every connection; the default) or
-                       `threads` (two OS threads per connection)
     --telemetry-addr HOST:PORT
                        serve /metrics, /metrics.json, /flightrec and
                        /healthz over HTTP on this address
     --slow-ms MS       slow-command log threshold (default 100)
-    --group-commit-us N
-                       group-commit window in microseconds (default
-                       1000); one fsync covers every command staged
-                       inside the window
-    --no-group-commit  fsync once per command run (the pre-group-commit
-                       behaviour; the bench baseline)
     --snapshot-every N cut a RIOTSNAP1 snapshot and compact the WAL
                        every N journal records (default 1000; 0 = off)
 
 BENCH OPTIONS:
     --spawn            start a private Unix-socket server for the run
-    --suite            spawn grouped + baseline servers, report the
-                       durable-throughput speedup, the recovery curve
-                       and the connection-scaling axis (implies --spawn)
+    --suite            spawn private servers and report one run, the
+                       recovery curve and the connection-scaling axis
+                       (implies --spawn)
     --sessions N       concurrent client connections (default 4)
     --commands M       commands per session (default 1000)
     --window W         pipelined requests in flight (default 32)
-    --io-model MODEL   spawned-server connection plane (as for serve)
     --conn-scale LIST  comma-separated connection counts for the
-                       suite's scaling axis (default 64,256,1024; the
-                       threads model is capped at 256)
-    --group-commit-us N / --no-group-commit / --snapshot-every N
-                       spawned-server durability knobs (as for serve)
+                       suite's scaling axis (default 64,256,1024)
+    --snapshot-every N spawned-server snapshot interval (as for serve)
     --out PATH         write the JSON report here (default: stdout only)
 
 STATS OPTIONS:
@@ -142,61 +129,13 @@ impl Target {
     }
 }
 
-/// The durability knobs `serve` and `bench --spawn` share:
-/// `--group-commit-us`, `--no-group-commit`, `--snapshot-every`.
-struct DurabilityFlags {
-    group_commit_us: u64,
-    no_group_commit: bool,
-    snapshot_every: usize,
-}
+/// The default `--snapshot-every`, shared by `serve` and
+/// `bench --spawn`.
+const SNAPSHOT_EVERY: usize = 1000;
 
-impl Default for DurabilityFlags {
-    fn default() -> Self {
-        DurabilityFlags {
-            group_commit_us: 1000,
-            no_group_commit: false,
-            snapshot_every: 1000,
-        }
-    }
-}
-
-impl DurabilityFlags {
-    /// Tries `flag` against the shared durability flags; returns
-    /// `false` when the flag is not one of them.
-    fn parse(&mut self, flag: &str, value: &mut dyn FnMut(&str) -> String) -> bool {
-        match flag {
-            "--group-commit-us" => {
-                self.group_commit_us = value("--group-commit-us")
-                    .parse()
-                    .unwrap_or_else(|_| fail("`--group-commit-us` wants an integer"));
-            }
-            "--no-group-commit" => self.no_group_commit = true,
-            "--snapshot-every" => {
-                self.snapshot_every = value("--snapshot-every")
-                    .parse()
-                    .unwrap_or_else(|_| fail("`--snapshot-every` wants an integer"));
-            }
-            _ => return false,
-        }
-        true
-    }
-
-    /// Microseconds for the bench report: 0 = group commit off.
-    fn effective_us(&self) -> u64 {
-        if self.no_group_commit || self.group_commit_us == 0 {
-            0
-        } else {
-            self.group_commit_us
-        }
-    }
-
-    fn apply(&self, cfg: &mut ServeConfig) {
-        cfg.group_commit = match self.effective_us() {
-            0 => None,
-            us => Some(Duration::from_micros(us)),
-        };
-        cfg.snapshot_every = self.snapshot_every;
-    }
+fn parse_snapshot_every(v: &str) -> usize {
+    v.parse()
+        .unwrap_or_else(|_| fail("`--snapshot-every` wants an integer"))
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
@@ -206,10 +145,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     let mut root = PathBuf::from("./riot-serve-data");
     let mut threads = 0usize;
-    let mut io_model = IoModel::default();
     let mut telemetry_addr: Option<String> = None;
     let mut slow_ms = 100u64;
-    let mut durability = DurabilityFlags::default();
+    let mut snapshot_every = SNAPSHOT_EVERY;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -226,28 +164,21 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                     .parse()
                     .unwrap_or_else(|_| fail("`--threads` wants an integer"));
             }
-            "--io-model" => {
-                io_model = IoModel::from_str(&value("--io-model")).unwrap_or_else(|e| fail(&e));
-            }
             "--telemetry-addr" => telemetry_addr = Some(value("--telemetry-addr")),
             "--slow-ms" => {
                 slow_ms = value("--slow-ms")
                     .parse()
                     .unwrap_or_else(|_| fail("`--slow-ms` wants an integer"));
             }
-            other => {
-                if !durability.parse(other, &mut value) {
-                    fail(&format!("unknown flag `{other}`"))
-                }
-            }
+            "--snapshot-every" => snapshot_every = parse_snapshot_every(&value("--snapshot-every")),
+            other => fail(&format!("unknown flag `{other}`")),
         }
     }
     let mut cfg = ServeConfig::new(root);
     cfg.threads = threads;
-    cfg.io_model = io_model;
     cfg.telemetry_addr = telemetry_addr;
     cfg.slow_threshold = Duration::from_millis(slow_ms);
-    durability.apply(&mut cfg);
+    cfg.snapshot_every = snapshot_every;
     let bind = target.bind_or_default();
     let handle = match Server::start(cfg, &bind) {
         Ok(h) => h,
@@ -274,10 +205,9 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     let mut bench = BenchConfig::default();
     let mut spawn = false;
     let mut suite = false;
-    let mut io_model = IoModel::default();
     let mut conn_scales: Vec<usize> = vec![64, 256, 1024];
     let mut out: Option<PathBuf> = None;
-    let mut durability = DurabilityFlags::default();
+    let mut snapshot_every = SNAPSHOT_EVERY;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -305,9 +235,6 @@ fn cmd_bench(args: &[String]) -> ExitCode {
                     .parse()
                     .unwrap_or_else(|_| fail("`--window` wants an integer"));
             }
-            "--io-model" => {
-                io_model = IoModel::from_str(&value("--io-model")).unwrap_or_else(|e| fail(&e));
-            }
             "--conn-scale" => {
                 conn_scales = value("--conn-scale")
                     .split(',')
@@ -322,36 +249,19 @@ fn cmd_bench(args: &[String]) -> ExitCode {
                 }
             }
             "--out" => out = Some(PathBuf::from(value("--out"))),
-            other => {
-                if !durability.parse(other, &mut value) {
-                    fail(&format!("unknown flag `{other}`"))
-                }
-            }
+            "--snapshot-every" => snapshot_every = parse_snapshot_every(&value("--snapshot-every")),
+            other => fail(&format!("unknown flag `{other}`")),
         }
     }
 
-    // The suite spawns its own grouped and baseline servers and runs
-    // the recovery curve; --addr/--socket would go unused.
+    // The suite spawns its own servers and runs the recovery curve;
+    // --addr/--socket would go unused.
     if suite {
         if target.addr.is_some() || target.socket.is_some() {
             eprintln!("riot-serve: --suite spawns its own servers; drop --addr/--socket");
             return ExitCode::from(2);
         }
-        let gc_us = match durability.effective_us() {
-            0 => {
-                eprintln!("riot-serve: --suite compares group commit against baseline; it needs a nonzero window");
-                return ExitCode::from(2);
-            }
-            us => us,
-        };
-        let result = run_suite(
-            &bench,
-            gc_us,
-            durability.snapshot_every,
-            &[500, 2000, 8000],
-            64,
-            &conn_scales,
-        );
+        let result = run_suite(&bench, snapshot_every, &[500, 2000, 8000], 64, &conn_scales);
         return match result {
             Ok(s) => emit_json(&s.to_json(), out.as_deref()),
             Err(e) => {
@@ -371,10 +281,7 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         }
         let bind = Bind::Unix(dir.join("bench.sock"));
         let mut cfg = ServeConfig::new(dir.join("wal"));
-        cfg.io_model = io_model;
-        durability.apply(&mut cfg);
-        // We know the spawned server's window; stamp it into the report.
-        bench.group_commit_us = Some(durability.effective_us());
+        cfg.snapshot_every = snapshot_every;
         match Server::start(cfg, &bind) {
             Ok(h) => {
                 let addr = h.addr();

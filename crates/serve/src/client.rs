@@ -1,6 +1,5 @@
-//! A small blocking client for the `RIOTSRV1`/`RIOTSRV2` protocol,
-//! used by the CLI, the bench load generator and the integration
-//! tests.
+//! A small blocking client for the `RIOTSRV2` protocol, used by the
+//! CLI, the bench load generator and the integration tests.
 //!
 //! Two styles compose:
 //!
@@ -11,16 +10,13 @@
 //!   per-session FIFO, so a pipelining client sees its ids echo back
 //!   in submission order.
 //!
-//! [`Client::connect`] announces `RIOTSRV2` and downgrades cleanly if
-//! the server echoes v1; [`Client::connect_v1`] pins the old dialect
-//! (compat tests, old servers). On a v2 connection,
 //! [`Client::send_traced`] attaches a [`TraceContext`] so the server
 //! continues the caller's trace through its own spans.
 
 use crate::net::{BoundAddr, Stream};
 use crate::proto::{
-    handshake_client, handshake_client_v2, read_frame_into, write_frame, ProtoError, ProtoVersion,
-    Reply, ReplyBody, Request, RequestBody, TelemetryFormat,
+    handshake_client, read_frame_into, write_frame, ProtoError, Reply, ReplyBody, Request,
+    RequestBody, TelemetryFormat,
 };
 use riot_trace::TraceContext;
 use std::io::Write;
@@ -32,7 +28,6 @@ use std::time::Duration;
 pub struct Client {
     stream: Stream,
     next_id: u64,
-    version: ProtoVersion,
     /// Reply-payload scratch, reused across [`Client::recv`] calls so
     /// a pipelining client decodes replies without per-frame
     /// allocation.
@@ -40,8 +35,7 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects and handshakes (v2, degrading to v1 if the server
-    /// insists).
+    /// Connects and handshakes.
     ///
     /// # Errors
     ///
@@ -69,37 +63,13 @@ impl Client {
         Client::finish(Stream::connect_unix(path)?)
     }
 
-    /// Connects speaking strictly `RIOTSRV1` — what a pre-revision
-    /// client does. Trace contexts are silently dropped on this
-    /// connection.
-    ///
-    /// # Errors
-    ///
-    /// Connect or handshake failures.
-    pub fn connect_v1(addr: &BoundAddr) -> Result<Client, ProtoError> {
-        let mut stream = Stream::connect(addr)?;
+    fn finish(mut stream: Stream) -> Result<Client, ProtoError> {
         handshake_client(&mut stream)?;
         Ok(Client {
             stream,
             next_id: 1,
-            version: ProtoVersion::V1,
             scratch: Vec::new(),
         })
-    }
-
-    fn finish(mut stream: Stream) -> Result<Client, ProtoError> {
-        let version = handshake_client_v2(&mut stream)?;
-        Ok(Client {
-            stream,
-            next_id: 1,
-            version,
-            scratch: Vec::new(),
-        })
-    }
-
-    /// The protocol revision this connection negotiated.
-    pub fn version(&self) -> ProtoVersion {
-        self.version
     }
 
     /// Sets the socket read timeout (`None` blocks forever).
@@ -122,9 +92,7 @@ impl Client {
     }
 
     /// Queues one request carrying a trace context, so the server's
-    /// decode/queue/apply/flush spans join the caller's trace. On a v1
-    /// connection the context is dropped (the old wire form has
-    /// nowhere to put it).
+    /// decode/queue/apply/flush spans join the caller's trace.
     ///
     /// # Errors
     ///
@@ -133,8 +101,7 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         let req = Request { id, body };
-        let trace = if ctx.is_none() { None } else { Some(ctx) };
-        write_frame(&mut self.stream, &req.encode_versioned(self.version, trace))?;
+        write_frame(&mut self.stream, &req.encode(Some(ctx)))?;
         self.stream.flush()?;
         Ok(id)
     }

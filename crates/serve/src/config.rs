@@ -14,43 +14,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How the server runs its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// One readiness-driven `poll(2)` event loop owns every connection:
-    /// non-blocking sockets, zero-copy frame decode, bounded write
-    /// backlogs. The default — holds thousands of connections on a
-    /// handful of threads.
-    #[default]
-    Poll,
-    /// The original reader-thread + writer-thread per connection model
-    /// (two OS threads per client). Kept behind `--io-model threads`
-    /// as the blocking fallback.
-    Threads,
-}
-
-impl IoModel {
-    /// The CLI spelling (`poll` / `threads`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoModel::Poll => "poll",
-            IoModel::Threads => "threads",
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoModel, String> {
-        match s {
-            "poll" => Ok(IoModel::Poll),
-            "threads" => Ok(IoModel::Threads),
-            other => Err(format!("unknown io model `{other}` (poll|threads)")),
-        }
-    }
-}
-
 /// Builds the library every fresh session starts from. Sessions never
 /// share a [`Library`] (each worker-owned session has its own), so the
 /// factory is called once per `open`.
@@ -104,8 +67,9 @@ pub struct ServeConfig {
     /// Bounded depth of each worker's job queue. A full queue turns
     /// into an explicit `busy` reply, never an unbounded buffer.
     pub inbox_cap: usize,
-    /// Most commands a worker applies to one session per scheduling
-    /// tick before it lets other sessions on the same shard run.
+    /// Most jobs a worker drains from its inbox as one batch. Every
+    /// batch ends in one flush pass — one fsync per dirty WAL — that
+    /// releases the batch's command replies.
     pub batch_max: usize,
     /// Worker scheduling tick: how long a worker sleeps waiting for
     /// jobs before running housekeeping (idle eviction).
@@ -113,12 +77,6 @@ pub struct ServeConfig {
     /// Sessions untouched for this long are suspended to their WAL and
     /// dropped from memory; a later `cmd` transparently reopens them.
     pub idle_timeout: Duration,
-    /// Group-commit window: command runs stage their WAL appends and a
-    /// single flush pass — one fsync per dirty WAL — covers every run
-    /// staged inside the window, releasing all their replies at once.
-    /// `None` falls back to one fsync per run (the pre-group-commit
-    /// behaviour; the bench's baseline mode).
-    pub group_commit: Option<Duration>,
     /// Cut a `RIOTSNAP1` snapshot (and compact the WAL behind it) every
     /// time this many journal records accumulate past the last
     /// snapshot; idle eviction also cuts one. `0` disables snapshots.
@@ -127,11 +85,7 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Per-connection socket write timeout.
     pub write_timeout: Duration,
-    /// Connection plane: the readiness event loop (default) or
-    /// thread-per-connection.
-    pub io_model: IoModel,
-    /// Poll model only: most pending write-backlog bytes per
-    /// connection. Reads pause at a quarter of this; crossing it
+    /// Most pending write-backlog bytes per connection. Reads pause at a quarter of this; crossing it
     /// evicts the connection (`serve.conn.evicted`).
     pub conn_backlog_max: usize,
     /// Library every fresh session starts from.
@@ -146,8 +100,8 @@ pub struct ServeConfig {
     /// Commands slower than this (enqueue → reply) are logged with
     /// decomposed phase timings and recorded in the flight recorder.
     pub slow_threshold: Duration,
-    /// The always-on flight recorder: shared with every worker and
-    /// connection thread, dumped on panic, fault trip, or the `dump`
+    /// The always-on flight recorder: shared with every worker and the
+    /// event loop, dumped on panic, fault trip, or the `dump`
     /// wire verb. Replace with `Arc::new(FlightRecorder::new(cap))` to
     /// change the ring size (default 4096 events).
     pub flightrec: Arc<FlightRecorder>,
@@ -162,11 +116,9 @@ impl std::fmt::Debug for ServeConfig {
             .field("batch_max", &self.batch_max)
             .field("tick", &self.tick)
             .field("idle_timeout", &self.idle_timeout)
-            .field("group_commit", &self.group_commit)
             .field("snapshot_every", &self.snapshot_every)
             .field("read_timeout", &self.read_timeout)
             .field("write_timeout", &self.write_timeout)
-            .field("io_model", &self.io_model)
             .field("conn_backlog_max", &self.conn_backlog_max)
             .field("telemetry_addr", &self.telemetry_addr)
             .field("slow_threshold", &self.slow_threshold)
@@ -175,10 +127,9 @@ impl std::fmt::Debug for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults for `root`: 0 (auto) threads, 256-job inboxes, 64
-    /// commands per batch, 20 ms ticks, 60 s idle eviction, a 1 ms
-    /// group-commit window, snapshots every 1000 records, 30 s socket
-    /// timeouts, the poll io-model with 4 MiB write backlogs, the
+    /// Defaults for `root`: 0 (auto) threads, 256-job inboxes, 64-job
+    /// batches, 20 ms ticks, 60 s idle eviction, snapshots every 1000
+    /// records, 30 s socket timeouts, 4 MiB write backlogs, the
     /// [`standard_library`], no faults, no telemetry listener, a
     /// 100 ms slow-command threshold, and a 4096-event flight
     /// recorder.
@@ -190,11 +141,9 @@ impl ServeConfig {
             batch_max: 64,
             tick: Duration::from_millis(20),
             idle_timeout: Duration::from_secs(60),
-            group_commit: Some(Duration::from_millis(1)),
             snapshot_every: 1000,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
-            io_model: IoModel::default(),
             conn_backlog_max: 4 << 20,
             library: Arc::new(standard_library),
             faults: ServeFaults::none(),

@@ -1,4 +1,4 @@
-//! The per-connection state machine behind the poll io-model.
+//! The per-connection state machine behind the poll event loop.
 //!
 //! A [`Connection`] is a **pure** state machine: bytes in
 //! ([`Connection::ingest`]), events out ([`Connection::next_event`]),
@@ -37,8 +37,7 @@
 //! compose, they do not replace each other.
 
 use crate::proto::{
-    encode_frame, scan_frame_ref, FrameCorruption, FrameScanRef, ProtoVersion, Reply, SRV_MAGIC,
-    SRV_MAGIC_V2,
+    encode_frame, scan_frame_ref, FrameCorruption, FrameScanRef, Reply, SRV_MAGIC_V2,
 };
 
 /// Where a connection is in its lifecycle.
@@ -62,8 +61,8 @@ pub enum ConnState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnEvent {
     /// The handshake completed; the magic echo is queued for write.
-    Handshake(ProtoVersion),
-    /// The first 8 bytes were not a known magic; the connection is
+    Handshake,
+    /// The first 8 bytes were not [`SRV_MAGIC_V2`]; the connection is
     /// closed.
     BadMagic,
     /// One complete, checksum-verified frame. `off..off + len` indexes
@@ -97,7 +96,6 @@ pub enum QueueOutcome {
 #[derive(Debug)]
 pub struct Connection {
     state: ConnState,
-    version: Option<ProtoVersion>,
     /// Receive scratch: frames are scanned in place at `start`.
     buf: Vec<u8>,
     start: usize,
@@ -119,7 +117,6 @@ impl Connection {
     pub fn new(backlog_max: usize) -> Connection {
         Connection {
             state: ConnState::Handshaking,
-            version: None,
             buf: Vec::with_capacity(4096),
             start: 0,
             out: Vec::new(),
@@ -133,11 +130,6 @@ impl Connection {
     /// Current lifecycle state.
     pub fn state(&self) -> ConnState {
         self.state
-    }
-
-    /// The negotiated protocol version (post-handshake).
-    pub fn version(&self) -> Option<ProtoVersion> {
-        self.version
     }
 
     /// Pending write-backlog bytes.
@@ -198,22 +190,15 @@ impl Connection {
                 if self.buf.len() - self.start < 8 {
                     return None;
                 }
-                let magic: [u8; 8] = self.buf[self.start..self.start + 8]
-                    .try_into()
-                    .expect("8 bytes");
+                let magic = &self.buf[self.start..self.start + 8];
                 self.start += 8;
-                let version = if &magic == SRV_MAGIC {
-                    ProtoVersion::V1
-                } else if &magic == SRV_MAGIC_V2 {
-                    ProtoVersion::V2
-                } else {
+                if magic != SRV_MAGIC_V2 {
                     self.state = ConnState::Closed;
                     return Some(ConnEvent::BadMagic);
-                };
-                self.version = Some(version);
+                }
                 self.state = ConnState::Reading;
-                self.out.extend_from_slice(version.magic());
-                Some(ConnEvent::Handshake(version))
+                self.out.extend_from_slice(SRV_MAGIC_V2);
+                Some(ConnEvent::Handshake)
             }
             // A backlogged connection stops dispatching too — frames
             // already buffered wait until the peer drains, so a slow
@@ -362,11 +347,11 @@ pub enum TraceEvent {
         /// The bytes, lowercase hex.
         hex: String,
     },
-    /// The handshake fixed the protocol version.
+    /// The handshake completed.
     Handshake {
         /// Connection token.
         conn: u64,
-        /// 1 or 2.
+        /// The protocol revision: always 2.
         version: u8,
     },
     /// A frame decoded in place.
@@ -577,10 +562,23 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{encode_frame, Reply, ReplyBody, Request, RequestBody};
+    use crate::proto::{encode_frame, Reply, ReplyBody, Request, RequestBody, RequestRef};
 
     fn frame_for(req: &Request) -> Vec<u8> {
-        encode_frame(&req.encode())
+        encode_frame(&req.encode(None))
+    }
+
+    /// A connection past the handshake, its magic echo flushed.
+    fn handshaken() -> Connection {
+        let mut c = Connection::new(1 << 20);
+        c.ingest(SRV_MAGIC_V2);
+        let _ = c.next_event();
+        c.advance_write(8);
+        c
+    }
+
+    fn decoded_id(c: &Connection, off: usize, len: usize) -> u64 {
+        RequestRef::decode(c.frame_payload(off, len)).unwrap().0.id
     }
 
     #[test]
@@ -591,7 +589,7 @@ mod tests {
         c.ingest(&SRV_MAGIC_V2[..4]);
         assert!(c.next_event().is_none(), "partial magic");
         c.ingest(&SRV_MAGIC_V2[4..]);
-        assert_eq!(c.next_event(), Some(ConnEvent::Handshake(ProtoVersion::V2)));
+        assert_eq!(c.next_event(), Some(ConnEvent::Handshake));
         assert_eq!(c.state(), ConnState::Reading);
         assert_eq!(c.writable_bytes(), SRV_MAGIC_V2, "echo queued");
         c.advance_write(8);
@@ -608,26 +606,26 @@ mod tests {
         let Some(ConnEvent::Frame { off, len }) = c.next_event() else {
             panic!("expected a frame");
         };
-        let decoded = Request::decode(c.frame_payload(off, len)).unwrap();
-        assert_eq!(decoded, req);
+        let (decoded, trace) = RequestRef::decode(c.frame_payload(off, len)).unwrap();
+        assert_eq!(decoded.to_owned(), req);
+        assert_eq!(trace, None);
         assert_eq!(c.frames_in_place(), 1);
     }
 
     #[test]
     fn bad_magic_closes() {
-        let mut c = Connection::new(1 << 20);
-        c.ingest(b"NOTRIOT!");
-        assert_eq!(c.next_event(), Some(ConnEvent::BadMagic));
-        assert!(c.is_closed());
-        assert!(!c.wants_read() && !c.wants_write());
+        for magic in [b"NOTRIOT!", b"RIOTSRV1"] {
+            let mut c = Connection::new(1 << 20);
+            c.ingest(magic);
+            assert_eq!(c.next_event(), Some(ConnEvent::BadMagic));
+            assert!(c.is_closed());
+            assert!(!c.wants_read() && !c.wants_write());
+        }
     }
 
     #[test]
     fn corrupt_frame_drains_after_error_reply() {
-        let mut c = Connection::new(1 << 20);
-        c.ingest(SRV_MAGIC);
-        let _ = c.next_event();
-        c.advance_write(8);
+        let mut c = handshaken();
         let mut bytes = frame_for(&Request {
             id: 1,
             body: RequestBody::Ping,
@@ -654,7 +652,7 @@ mod tests {
     #[test]
     fn backlog_pauses_reads_then_evicts() {
         let mut c = Connection::new(400);
-        c.ingest(SRV_MAGIC);
+        c.ingest(SRV_MAGIC_V2);
         let _ = c.next_event();
         c.advance_write(8);
         let big = Reply {
@@ -685,10 +683,7 @@ mod tests {
 
     #[test]
     fn drain_waits_for_in_flight_replies() {
-        let mut c = Connection::new(1 << 20);
-        c.ingest(SRV_MAGIC);
-        let _ = c.next_event();
-        c.advance_write(8);
+        let mut c = handshaken();
         c.note_dispatched();
         c.begin_drain();
         assert_eq!(c.state(), ConnState::Draining, "in-flight reply pending");
@@ -704,10 +699,7 @@ mod tests {
 
     #[test]
     fn scratch_compacts_without_losing_partial_frames() {
-        let mut c = Connection::new(1 << 20);
-        c.ingest(SRV_MAGIC);
-        let _ = c.next_event();
-        c.advance_write(8);
+        let mut c = handshaken();
         let a = frame_for(&Request {
             id: 1,
             body: RequestBody::Ping,
@@ -728,13 +720,13 @@ mod tests {
         let Some(ConnEvent::Frame { off, len }) = c.next_event() else {
             panic!("frame a");
         };
-        assert_eq!(Request::decode(c.frame_payload(off, len)).unwrap().id, 1);
+        assert_eq!(decoded_id(&c, off, len), 1);
         assert!(c.next_event().is_none(), "frame b is torn");
         c.ingest(&b[b.len() / 2..]);
         let Some(ConnEvent::Frame { off, len }) = c.next_event() else {
             panic!("frame b");
         };
-        assert_eq!(Request::decode(c.frame_payload(off, len)).unwrap().id, 2);
+        assert_eq!(decoded_id(&c, off, len), 2);
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! # riot-serve — headless multi-session composition server
 //!
 //! Hosts many concurrent [`riot_core::Editor`] sessions behind the
-//! `RIOTSRV1` binary wire protocol (length-prefixed, CRC-checksummed
-//! frames with client-chosen request ids for pipelining) over TCP or
-//! Unix-domain sockets.
+//! `RIOTSRV2` binary wire protocol (length-prefixed, CRC-checksummed
+//! frames with client-chosen request ids for pipelining and optional
+//! trace contexts) over TCP or Unix-domain sockets.
 //!
 //! * [`proto`] — frames, requests, replies, handshake
 //! * [`session`] — WAL-backed hosted sessions (durability + recovery)
 //! * [`snapshot`] — `RIOTSNAP1` session snapshots (O(tail) recovery,
 //!   WAL compaction)
-//! * [`manager`] — the sharded worker pool (batching, backpressure,
-//!   idle eviction)
+//! * [`manager`] — the sharded worker pool (batching, one flush pass
+//!   per drained batch, backpressure, idle eviction)
 //! * [`conn`] — the pure per-connection state machine behind the poll
-//!   io-model (zero-copy scan buffer, bounded write backlog)
-//! * [`server`] — the readiness-driven event loop (default) and the
-//!   thread-per-connection fallback, accept, drain
+//!   event loop (zero-copy scan buffer, bounded write backlog)
+//! * [`server`] — the readiness-driven event loop, accept, drain
 //! * [`client`] — a small blocking client used by the bench, the CLI
 //!   and the tests
 //! * [`bench`] — the load generator behind `riot-serve bench`
@@ -45,20 +44,19 @@ pub mod telemetry;
 
 pub use bench::{
     run_bench, run_conn_point, run_conn_scaling, run_recovery_bench, run_suite, BenchConfig,
-    BenchReport, BenchSuite, ConnScalePoint, RecoveryPoint, THREADS_SCALE_CAP,
+    BenchReport, BenchSuite, ConnScalePoint, RecoveryPoint,
 };
 pub use client::Client;
-pub use config::{resolve_threads, standard_library, IoModel, LibraryFactory, ServeConfig};
+pub use config::{resolve_threads, standard_library, LibraryFactory, ServeConfig};
 pub use conn::{ConnEvent, ConnState, Connection, QueueOutcome, TraceEvent};
 pub use fault::ServeFaults;
 pub use flightrec::{FlightEvent, FlightKind, FlightRecorder};
 pub use manager::{JobKind, ReplyTx, SessionManager};
 pub use net::{Bind, BoundAddr, Interest, Listener, PollSet, Readiness, Stream, WakePipe};
 pub use proto::{
-    decode_frame_eof, encode_frame, handshake_client_v2, read_frame, read_frame_into, scan_frame,
-    scan_frame_ref, valid_session_name, write_frame, FrameCorruption, FrameScan, FrameScanRef,
-    ProtoError, ProtoVersion, Reply, ReplyBody, Request, RequestBody, RequestBodyRef, RequestRef,
-    TelemetryFormat, SRV_MAGIC, SRV_MAGIC_V2,
+    decode_frame_eof, encode_frame, handshake_client, read_frame_into, scan_frame_ref,
+    valid_session_name, write_frame, FrameCorruption, FrameScanRef, ProtoError, Reply, ReplyBody,
+    Request, RequestBody, RequestBodyRef, RequestRef, TelemetryFormat, SRV_MAGIC_V2,
 };
 pub use server::{Server, ServerHandle};
 pub use session::{wal_path, OpenKind, SessionEntry};

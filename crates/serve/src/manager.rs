@@ -16,18 +16,17 @@
 //! immediate [`ReplyBody::Busy`], and the command was *not* queued.
 //! Clients own the retry; the server never buffers unboundedly.
 //!
-//! # Batching and group commit
+//! # Batching and the flush pass
 //!
-//! A worker drains up to `batch_max` queued jobs per scheduling tick
-//! and applies *consecutive runs* of commands for the same session
-//! under one resumed editor. With a [`ServeConfig::group_commit`]
-//! window set (the default), each run **stages** its WAL records in
-//! memory and joins the worker's commit queue; one flush pass — at
-//! most a window after the first run staged — writes and fsyncs every
-//! dirty WAL once, then releases every staged run's replies in order.
-//! Sixteen interleaved sessions therefore share sixteen fsyncs per
-//! window instead of paying one per run. With the window off, each run
-//! flushes its own WAL at the end of the run. Either way `ok` replies
+//! A worker drains up to `batch_max` queued jobs at a time and applies
+//! *consecutive runs* of commands for the same session under one
+//! resumed editor. Each run **stages** its WAL records in memory and
+//! joins the batch's commit queue. One flush pass — one write and one
+//! fsync per dirty WAL — runs at the end of the drained batch, and
+//! before any non-`cmd` job in it, then releases every staged run's
+//! replies in order. The inbox decides when to flush, not a timer: a
+//! lone command is flushed as soon as it is applied, and sixteen
+//! sessions interleaved in one batch share sixteen fsyncs. `ok` replies
 //! are withheld until the covering flush succeeds (acknowledged ⇒
 //! durable).
 //!
@@ -87,34 +86,19 @@ pub enum JobKind {
     },
 }
 
-/// Where a job's reply goes. The thread-per-connection model hands
-/// each worker a plain channel its writer thread drains
-/// ([`ReplyTx::direct`]); the poll event loop hands out a **routed**
-/// sender ([`ReplyTx::routed`]) that tags each reply with the
-/// connection's token and then kicks the loop's wakeup pipe, so a
-/// blocked `poll(2)` learns immediately that a reply is ready to
-/// write. Cloning is cheap either way (a channel sender plus, for the
-/// routed form, an `Arc`).
-#[derive(Clone)]
-pub struct ReplyTx(ReplyTxInner);
-
-#[derive(Clone)]
-enum ReplyTxInner {
-    Direct(Sender<Reply>),
-    Routed {
-        tx: Sender<(u64, Reply)>,
-        token: u64,
-        wake: Arc<crate::net::WakePipe>,
-    },
+/// Where a job's reply goes: the event loop's shared reply channel,
+/// tagged with the connection's token. Every send then kicks the
+/// loop's wakeup pipe, so a blocked `poll(2)` learns immediately that
+/// a reply is ready to write. Cloning is cheap (a channel sender plus
+/// an `Arc`).
+#[derive(Clone, Debug)]
+pub struct ReplyTx {
+    tx: Sender<(u64, Reply)>,
+    token: u64,
+    wake: Arc<crate::net::WakePipe>,
 }
 
 impl ReplyTx {
-    /// Replies go straight to `tx` (a dedicated writer thread drains
-    /// it).
-    pub fn direct(tx: Sender<Reply>) -> ReplyTx {
-        ReplyTx(ReplyTxInner::Direct(tx))
-    }
-
     /// Replies go to the event loop's shared channel tagged with
     /// `token`, and `wake` is kicked after every send.
     pub fn routed(
@@ -122,31 +106,14 @@ impl ReplyTx {
         token: u64,
         wake: Arc<crate::net::WakePipe>,
     ) -> ReplyTx {
-        ReplyTx(ReplyTxInner::Routed { tx, token, wake })
+        ReplyTx { tx, token, wake }
     }
 
-    /// Delivers one reply. A gone receiver (connection already closed)
-    /// is not an error — the reply is simply dropped, exactly like the
-    /// old writer-thread channel.
+    /// Delivers one reply. A gone receiver (the event loop already
+    /// exited) is not an error — the reply is simply dropped.
     pub fn send(&self, reply: Reply) {
-        match &self.0 {
-            ReplyTxInner::Direct(tx) => {
-                let _ = tx.send(reply);
-            }
-            ReplyTxInner::Routed { tx, token, wake } => {
-                let _ = tx.send((*token, reply));
-                wake.wake();
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for ReplyTx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            ReplyTxInner::Direct(_) => f.write_str("ReplyTx::Direct"),
-            ReplyTxInner::Routed { token, .. } => write!(f, "ReplyTx::Routed({token})"),
-        }
+        let _ = self.tx.send((self.token, reply));
+        self.wake.wake();
     }
 }
 
@@ -155,8 +122,9 @@ struct Job {
     session: String,
     kind: JobKind,
     id: u64,
-    /// The client's trace context ([`TraceContext::NONE`] for v1
-    /// connections): every server-side span for this job continues it.
+    /// The client's trace context ([`TraceContext::NONE`] for an
+    /// untraced request): every server-side span for this job continues
+    /// it.
     trace: TraceContext,
     reply_tx: ReplyTx,
     enqueued: Instant,
@@ -335,20 +303,18 @@ impl Drop for SessionManager {
 }
 
 /// One run of commands whose WAL records are staged awaiting the
-/// worker's next group flush. Replies are held here — released, in
-/// staging order, only after the covering fsync.
+/// batch's flush pass. Replies are held here — released, in staging
+/// order, only after the covering fsync.
 struct StagedRun {
     jobs: Vec<Job>,
     outcomes: Vec<Result<String, String>>,
     apply_ns: Vec<u64>,
 }
 
-/// The worker's commit queue: every staged run since the last flush
-/// pass, plus the deadline the first of them set.
+/// A batch's commit queue: every run staged since the last flush pass.
 #[derive(Default)]
 struct Pending {
     runs: Vec<StagedRun>,
-    due: Option<Instant>,
 }
 
 impl Pending {
@@ -367,26 +333,17 @@ impl Pending {
             }
         }
         self.runs = kept;
-        if self.runs.is_empty() {
-            self.due = None;
-        }
     }
 }
 
-/// One worker: owns a shard of sessions, applies batches, runs the
-/// group-commit flush pass, evicts idlers, and flushes everything on
-/// drain.
+/// One worker: owns a shard of sessions, applies batches (each ending
+/// in its flush pass), evicts idlers, and flushes everything on drain.
 fn worker_loop(cfg: &ServeConfig, rx: &Receiver<Job>, shared: &Shared, worker: u64) {
     let mut sessions: HashMap<String, SessionEntry> = HashMap::new();
-    let mut pending = Pending::default();
     loop {
-        // Sleep until the next job or — when runs are staged — the
-        // group-commit deadline, whichever is sooner.
-        let timeout = pending
-            .due
-            .map_or(cfg.tick, |d| d.saturating_duration_since(Instant::now()))
-            .min(cfg.tick);
-        let first = match rx.recv_timeout(timeout) {
+        // The tick only paces housekeeping: staged state never outlives
+        // the batch that staged it, so nothing waits on a timer.
+        let first = match rx.recv_timeout(cfg.tick) {
             Ok(job) => Some(job),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break,
@@ -420,18 +377,13 @@ fn worker_loop(cfg: &ServeConfig, rx: &Receiver<Job>, shared: &Shared, worker: u
                 job.queue_ns = job.enqueued.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                 riot_trace::complete_span("serve.queue.wait", job.trace, job.enqueued, &[]);
             }
-            process_batch(cfg, &mut sessions, batch, worker, &mut pending);
-        }
-        if pending.due.is_some_and(|d| Instant::now() >= d) {
-            flush_pending(cfg, &mut sessions, &mut pending, worker);
+            process_batch(cfg, &mut sessions, batch, worker);
         }
         evict_idle(cfg, &mut sessions);
         publish_live(shared, &sessions);
         update_slo_gauges();
     }
-    // Drain: flush staged runs, then every hosted session, before
-    // exiting.
-    flush_pending(cfg, &mut sessions, &mut pending, worker);
+    // Drain: flush every hosted session before exiting.
     for (_, mut entry) in sessions.drain() {
         let _ = entry.sync_all();
     }
@@ -465,14 +417,15 @@ fn publish_live(shared: &Shared, mine: &HashMap<String, SessionEntry>) {
 }
 
 /// Applies one drained batch in arrival order, merging consecutive
-/// `Cmd` runs for the same session under a single resume.
+/// `Cmd` runs for the same session under a single resume, and ends
+/// with the flush pass that makes every staged run durable.
 fn process_batch(
     cfg: &ServeConfig,
     sessions: &mut HashMap<String, SessionEntry>,
     batch: Vec<Job>,
     worker: u64,
-    pending: &mut Pending,
 ) {
+    let mut pending = Pending::default();
     let mut iter = batch.into_iter().peekable();
     while let Some(job) = iter.next() {
         if matches!(job.kind, JobKind::Cmd { .. }) {
@@ -484,15 +437,16 @@ fn process_batch(
             }) {
                 run.push(iter.next().expect("peeked"));
             }
-            apply_cmd_run(cfg, sessions, run, worker, pending);
+            apply_cmd_run(cfg, sessions, run, worker, &mut pending);
         } else {
             // Per-session reply FIFO: a close/open/stats reply must not
             // overtake staged command replies, and close/stats read
             // state the staged records are part of — flush first.
-            flush_pending(cfg, sessions, pending, worker);
+            flush_pending(cfg, sessions, &mut pending, worker);
             apply_single(cfg, sessions, &job, worker);
         }
     }
+    flush_pending(cfg, sessions, &mut pending, worker);
 }
 
 /// Refreshes the rolling SLO gauges from the registry: the p99 of the
@@ -658,10 +612,9 @@ fn apply_single(
 }
 
 /// Applies a run of consecutive `Cmd` jobs for one session under a
-/// single resumed editor, then either stages the WAL records on the
-/// worker's commit queue (group commit — replies wait for the covering
-/// flush pass) or flushes the WAL **once** right here. Either way no
-/// `ok` escapes before its records are fsynced — acknowledged means
+/// single resumed editor, then stages the WAL records on the batch's
+/// commit queue. Replies wait for the covering flush pass: no `ok`
+/// escapes before its records are fsynced — acknowledged means
 /// durable.
 fn apply_cmd_run(
     cfg: &ServeConfig,
@@ -781,69 +734,20 @@ fn apply_cmd_run(
         return;
     }
 
-    // Phase 2: make the records durable, then release replies. With a
-    // group-commit window, durability is deferred to the worker's next
-    // flush pass — the run parks on the commit queue, replies withheld,
-    // sharing that pass's one-fsync-per-dirty-WAL with every other run
-    // staged inside the window.
-    if let Some(window) = cfg.group_commit {
-        entry.stage_journal();
-        sessions.insert(session, entry);
-        let due = Instant::now() + window;
-        pending.due = Some(pending.due.map_or(due, |d| d.min(due)));
-        pending.runs.push(StagedRun {
-            jobs: run,
-            outcomes,
-            apply_ns,
-        });
-        return;
-    }
-    let flush_start = Instant::now();
-    match entry.sync_journal() {
-        Ok(_) => {
-            release_run_replies(
-                &StagedRun {
-                    jobs: run,
-                    outcomes,
-                    apply_ns,
-                },
-                flush_start,
-                cfg,
-                worker,
-            );
-            entry.maybe_snapshot(&cfg.root, cfg.snapshot_every, &cfg.faults);
-            sessions.insert(session, entry);
-        }
-        Err(e) => {
-            // The in-memory state ran ahead of the WAL and the WAL
-            // cannot catch up: drop the session rather than acknowledge
-            // what is not durable. Recovery resumes from the last
-            // intact prefix.
-            cfg.flightrec.record(
-                worker,
-                &session,
-                FlightKind::Crash,
-                format!("WAL append failed: {e}"),
-                false,
-                run_ctx.trace_id,
-            );
-            let _ = cfg.flightrec.dump_to(&cfg.root);
-            drop(entry);
-            for job in &run {
-                send_reply(
-                    job,
-                    ReplyBody::Err(format!(
-                        "session crashed: WAL append failed ({e}); reopen to recover"
-                    )),
-                );
-            }
-        }
-    }
+    // Phase 2: park the run on the commit queue, replies withheld. The
+    // batch's flush pass makes it durable, sharing one fsync per dirty
+    // WAL with every other run staged in the batch.
+    entry.stage_journal();
+    sessions.insert(session, entry);
+    pending.runs.push(StagedRun {
+        jobs: run,
+        outcomes,
+        apply_ns,
+    });
 }
 
 /// Completes the wal-flush spans, sends the run's buffered replies in
-/// order, and feeds the slow-command log — shared by the per-run flush
-/// path and the group-commit flush pass.
+/// order, and feeds the slow-command log.
 fn release_run_replies(run: &StagedRun, flush_start: Instant, cfg: &ServeConfig, worker: u64) {
     // One wal-flush span per distinct trace in the run: every client
     // trace sees the flush its acknowledgement waited on.
@@ -872,9 +776,9 @@ fn release_run_replies(run: &StagedRun, flush_start: Instant, cfg: &ServeConfig,
     log_slow_commands(cfg, &run.jobs, &run.apply_ns, flush_ns, worker);
 }
 
-/// The group-commit flush pass: one write + fsync per *dirty* WAL
-/// covers every run staged since the last pass, then every staged
-/// run's replies release in staging order. A flush failure — real I/O
+/// The flush pass: one write + fsync per *dirty* WAL covers every run
+/// staged since the last pass, then every staged run's replies release
+/// in staging order. A flush failure — real I/O
 /// or an injected [`FAULT_SERVE_GROUP_FLUSH`] — crashes only that
 /// session: its staged runs refuse, its entry is dropped (staged bytes
 /// and all, none of them acknowledged), and recovery resumes from the
@@ -887,11 +791,9 @@ fn flush_pending(
     worker: u64,
 ) {
     if pending.runs.is_empty() {
-        pending.due = None;
         return;
     }
     let runs = std::mem::take(&mut pending.runs);
-    pending.due = None;
     let reg = riot_trace::registry();
     let flush_start = Instant::now();
     let mut flushed: Vec<String> = Vec::new();
@@ -1008,16 +910,14 @@ fn log_slow_commands(cfg: &ServeConfig, run: &[Job], apply_ns: &[u64], flush_ns:
     }
 }
 
-/// Suspend-to-WAL sessions idle past the deadline. Sessions with
-/// staged-but-unflushed records are never evicted (their replies are
-/// still parked on the commit queue). An evicted session gets a
-/// parting snapshot so its eventual recovery is O(snapshot), not
+/// Suspend-to-WAL sessions idle past the deadline. An evicted session
+/// gets a parting snapshot so its eventual recovery is O(snapshot), not
 /// O(history).
 fn evict_idle(cfg: &ServeConfig, sessions: &mut HashMap<String, SessionEntry>) {
     let now = Instant::now();
     let idle: Vec<String> = sessions
         .iter()
-        .filter(|(_, e)| now.duration_since(e.last_touch) >= cfg.idle_timeout && !e.has_staged())
+        .filter(|(_, e)| now.duration_since(e.last_touch) >= cfg.idle_timeout)
         .map(|(n, _)| n.clone())
         .collect();
     for name in idle {
@@ -1040,6 +940,13 @@ mod tests {
     use std::sync::mpsc::channel;
     use std::time::Duration;
 
+    /// The routed reply channel of one pretend connection.
+    fn routed() -> (ReplyTx, Receiver<(u64, Reply)>) {
+        let (tx, rx) = channel();
+        let wake = Arc::new(crate::net::WakePipe::new().unwrap());
+        (ReplyTx::routed(tx, 1, wake), rx)
+    }
+
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("riot-serve-mgr-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1057,8 +964,7 @@ mod tests {
     fn open_cmd_close_round_trip() {
         let root = tmp_root("roundtrip");
         let mgr = SessionManager::start(test_cfg(&root)).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = routed();
         mgr.submit(
             "a",
             JobKind::Open { cell: "TOP".into() },
@@ -1068,7 +974,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            rx.recv().unwrap(),
+            rx.recv().unwrap().1,
             Reply {
                 id: 1,
                 body: ReplyBody::Ok("created".into())
@@ -1084,7 +990,7 @@ mod tests {
             tx.clone(),
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert_eq!(rep.id, 2);
         assert!(
             matches!(rep.body, ReplyBody::Ok(ref d) if d.starts_with("instance")),
@@ -1093,7 +999,7 @@ mod tests {
         mgr.submit("a", JobKind::Close, 3, TraceContext::NONE, tx)
             .unwrap();
         assert_eq!(
-            rx.recv().unwrap(),
+            rx.recv().unwrap().1,
             Reply {
                 id: 3,
                 body: ReplyBody::Ok("closed".into())
@@ -1107,8 +1013,7 @@ mod tests {
     fn pipelined_replies_stay_in_order() {
         let root = tmp_root("order");
         let mgr = SessionManager::start(test_cfg(&root)).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = routed();
         mgr.submit(
             "p",
             JobKind::Open { cell: "TOP".into() },
@@ -1129,7 +1034,7 @@ mod tests {
             )
             .unwrap();
         }
-        let ids: Vec<u64> = (0..=20).map(|_| rx.recv().unwrap().id).collect();
+        let ids: Vec<u64> = (0..=20).map(|_| rx.recv().unwrap().1.id).collect();
         assert_eq!(ids, (0..=20).collect::<Vec<_>>());
         mgr.shutdown();
         let _ = std::fs::remove_dir_all(root);
@@ -1142,8 +1047,7 @@ mod tests {
         cfg.threads = 1;
         cfg.inbox_cap = 4;
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = routed();
         // Stall the single worker so the inbox backs up.
         mgr.submit(
             "b",
@@ -1179,8 +1083,7 @@ mod tests {
     fn cmd_without_open_recovers_or_errors() {
         let root = tmp_root("lazy");
         let mgr = SessionManager::start(test_cfg(&root)).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = routed();
         mgr.submit(
             "ghost",
             JobKind::Cmd {
@@ -1191,7 +1094,7 @@ mod tests {
             tx.clone(),
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert!(matches!(rep.body, ReplyBody::Err(ref m) if m.contains("no such session")));
         // Open, close (flushes WAL), then cmd transparently recovers.
         mgr.submit(
@@ -1216,7 +1119,7 @@ mod tests {
             tx,
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert!(matches!(rep.body, ReplyBody::Ok(_)), "{rep:?}");
         mgr.shutdown();
         let _ = std::fs::remove_dir_all(root);
@@ -1230,8 +1133,7 @@ mod tests {
         // head, two commands succeed, the third crashes the session.
         cfg.faults.arm(FAULT_SERVE_JOURNAL_APPEND, 2);
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = routed();
         mgr.submit(
             "f",
             JobKind::Open { cell: "TOP".into() },
@@ -1254,7 +1156,7 @@ mod tests {
             .unwrap();
             // Serialize so each command is its own batch: the fault arm
             // counts consultations, one per command.
-            let rep = rx.recv().unwrap();
+            let rep = rx.recv().unwrap().1;
             if i <= 2 {
                 assert!(matches!(rep.body, ReplyBody::Ok(_)), "cmd {i}: {rep:?}");
             } else {
@@ -1273,7 +1175,7 @@ mod tests {
             tx.clone(),
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         match rep.body {
             ReplyBody::Ok(d) => {
                 assert!(d.contains("recovered 3 records"), "{d}");
@@ -1294,7 +1196,7 @@ mod tests {
             tx,
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert_eq!(
             rep.body,
             ReplyBody::Ok("instance 2".into()),
@@ -1312,8 +1214,7 @@ mod tests {
         // records never reach disk, so its replies must refuse.
         cfg.faults.arm(riot_core::FAULT_SERVE_GROUP_FLUSH, 0);
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = routed();
         mgr.submit(
             "g",
             JobKind::Open { cell: "TOP".into() },
@@ -1333,7 +1234,7 @@ mod tests {
             tx.clone(),
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert!(
             matches!(rep.body, ReplyBody::Err(ref m) if m.contains("group flush")),
             "{rep:?}"
@@ -1348,7 +1249,7 @@ mod tests {
             tx.clone(),
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert!(
             matches!(rep.body, ReplyBody::Ok(ref d) if d.contains("recovered 1 records")),
             "{rep:?}"
@@ -1363,7 +1264,7 @@ mod tests {
             tx,
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert_eq!(
             rep.body,
             ReplyBody::Ok("instance 0".into()),
@@ -1379,8 +1280,7 @@ mod tests {
         let mut cfg = test_cfg(&root);
         cfg.snapshot_every = 4;
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = routed();
         mgr.submit(
             "si",
             JobKind::Open { cell: "TOP".into() },
@@ -1401,7 +1301,7 @@ mod tests {
                 tx.clone(),
             )
             .unwrap();
-            let rep = rx.recv().unwrap();
+            let rep = rx.recv().unwrap().1;
             assert!(matches!(rep.body, ReplyBody::Ok(_)), "cmd {i}: {rep:?}");
         }
         mgr.submit("si", JobKind::Close, 99, TraceContext::NONE, tx.clone())
@@ -1413,8 +1313,7 @@ mod tests {
         assert!(crate::snapshot::snap_path(&root, "si").exists());
         // Reopen from disk: snapshot + tail must equal the full state.
         let mgr = SessionManager::start(test_cfg(&root)).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = routed();
         mgr.submit(
             "si",
             JobKind::Open { cell: "TOP".into() },
@@ -1423,7 +1322,7 @@ mod tests {
             tx.clone(),
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert!(
             matches!(rep.body, ReplyBody::Ok(ref d) if d.contains("recovered 11 records")),
             "{rep:?}"
@@ -1438,7 +1337,7 @@ mod tests {
             tx,
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert_eq!(
             rep.body,
             ReplyBody::Ok("instance 10".into()),
@@ -1454,8 +1353,7 @@ mod tests {
         let mut cfg = test_cfg(&root);
         cfg.idle_timeout = Duration::from_millis(30);
         let mgr = SessionManager::start(cfg).unwrap();
-        let (tx, rx) = channel();
-        let tx = ReplyTx::direct(tx);
+        let (tx, rx) = routed();
         mgr.submit(
             "idle",
             JobKind::Open { cell: "TOP".into() },
@@ -1497,7 +1395,7 @@ mod tests {
             tx,
         )
         .unwrap();
-        let rep = rx.recv().unwrap();
+        let rep = rx.recv().unwrap().1;
         assert_eq!(
             rep.body,
             ReplyBody::Ok("instance 1".into()),

@@ -155,18 +155,6 @@ impl Stream {
         Ok(Stream::Unix(UnixStream::connect(path)?))
     }
 
-    /// A second handle to the same socket (for a writer thread).
-    ///
-    /// # Errors
-    ///
-    /// The underlying `try_clone` failure.
-    pub fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-        })
-    }
-
     /// Sets the read timeout (`None` = block forever).
     ///
     /// # Errors
@@ -176,18 +164,6 @@ impl Stream {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(t),
             Stream::Unix(s) => s.set_read_timeout(t),
-        }
-    }
-
-    /// Sets the write timeout (`None` = block forever).
-    ///
-    /// # Errors
-    ///
-    /// The underlying socket option failure.
-    pub fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_write_timeout(t),
-            Stream::Unix(s) => s.set_write_timeout(t),
         }
     }
 
@@ -208,32 +184,6 @@ impl Stream {
         match self {
             Stream::Tcp(s) => s.as_raw_fd(),
             Stream::Unix(s) => s.as_raw_fd(),
-        }
-    }
-
-    /// Half-closes the read side: a reader blocked on this stream
-    /// returns 0 immediately, while the write side keeps flushing.
-    /// The threads io-model uses this for instant shutdown wakeup.
-    pub fn shutdown_read(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Read);
-            }
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Read);
-            }
-        }
-    }
-
-    /// Half-closes the write side (lets the peer's reader see EOF).
-    pub fn shutdown_write(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Write);
-            }
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Write);
-            }
         }
     }
 

@@ -1,14 +1,12 @@
-//! The `RIOTSRV1` wire protocol: length-prefixed, checksummed binary
+//! The `RIOTSRV2` wire protocol: length-prefixed, checksummed binary
 //! frames carrying pipelined requests.
 //!
-//! # Connection handshake and version negotiation
+//! # Connection handshake
 //!
-//! The client opens a socket and writes an 8-byte magic — [`SRV_MAGIC`]
-//! (`RIOTSRV1`) or [`SRV_MAGIC_V2`] (`RIOTSRV2`); the server accepts
-//! either and echoes back what it received, fixing the connection's
-//! [`ProtoVersion`]. Everything after the handshake is frames in both
-//! directions. Old clients keep sending `RIOTSRV1` and notice nothing;
-//! new clients send `RIOTSRV2` to unlock the trace-context field.
+//! The client opens a socket and writes the 8-byte magic
+//! [`SRV_MAGIC_V2`] (`RIOTSRV2`); the server echoes it back. Any other
+//! magic is refused and the connection closed. Everything after the
+//! handshake is frames in both directions.
 //!
 //! # Frame format
 //!
@@ -23,14 +21,13 @@
 //!
 //! # Payloads
 //!
-//! A **v1** request payload is an 8-byte little-endian **request id**
-//! (chosen by the client, echoed verbatim in the reply — this is what
-//! makes pipelining safe) followed by a UTF-8 command text. A **v2**
-//! payload inserts a flags byte after the id; when
+//! A request payload is an 8-byte little-endian **request id** (chosen
+//! by the client, echoed verbatim in the reply — this is what makes
+//! pipelining safe), a flags byte, and a UTF-8 command text. When
 //! [`REQ_FLAG_TRACE`] is set, 16 bytes of trace context
-//! (`trace_id u64 LE`, `parent_span u64 LE`) precede the text, letting
-//! the server continue the client's trace through its decode → queue →
-//! apply → WAL-flush phases:
+//! (`trace_id u64 LE`, `parent_span u64 LE`) sit between the flags and
+//! the text, letting the server continue the client's trace through
+//! its decode → queue → apply → WAL-flush phases:
 //!
 //! ```text
 //! open <session> <cell>      create, attach or recover a session
@@ -65,34 +62,12 @@ use riot_trace::TraceContext;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Magic bytes opening every v1 connection, in both directions.
-pub const SRV_MAGIC: &[u8; 8] = b"RIOTSRV1";
-
-/// Magic bytes opening a v2 (trace-context-capable) connection.
+/// Magic bytes opening every connection, in both directions.
 pub const SRV_MAGIC_V2: &[u8; 8] = b"RIOTSRV2";
 
 /// Request-payload flag: 16 bytes of trace context follow the flags
-/// byte (v2 payloads only).
+/// byte.
 pub const REQ_FLAG_TRACE: u8 = 0x01;
-
-/// The protocol revision a connection negotiated at handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtoVersion {
-    /// `RIOTSRV1`: id + text payloads.
-    V1,
-    /// `RIOTSRV2`: id + flags (+ optional trace context) + text.
-    V2,
-}
-
-impl ProtoVersion {
-    /// The magic bytes announcing this version.
-    pub fn magic(self) -> &'static [u8; 8] {
-        match self {
-            ProtoVersion::V1 => SRV_MAGIC,
-            ProtoVersion::V2 => SRV_MAGIC_V2,
-        }
-    }
-}
 
 /// Hard cap on a frame payload. Command lines are tiny; anything
 /// approaching this is a corrupt length field or an abusive client.
@@ -101,7 +76,7 @@ pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
 /// Why a frame (or handshake) could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameCorruption {
-    /// The connection did not open with [`SRV_MAGIC`].
+    /// The connection did not open with [`SRV_MAGIC_V2`].
     BadMagic,
     /// Fewer than 8 header bytes were available — a torn header.
     TornHeader,
@@ -126,7 +101,7 @@ pub enum FrameCorruption {
 impl fmt::Display for FrameCorruption {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameCorruption::BadMagic => f.write_str("missing RIOTSRV1 magic"),
+            FrameCorruption::BadMagic => f.write_str("missing RIOTSRV2 magic"),
             FrameCorruption::TornHeader => f.write_str("torn frame header"),
             FrameCorruption::TornPayload {
                 expected,
@@ -187,26 +162,9 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The outcome of scanning a byte buffer for one frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameScan {
-    /// A complete, intact frame: its payload and the total bytes
-    /// consumed (header + payload).
-    Complete {
-        /// The verified payload.
-        payload: Vec<u8>,
-        /// Header + payload length in bytes.
-        consumed: usize,
-    },
-    /// More bytes are needed; nothing was consumed.
-    Incomplete,
-    /// The buffer head is not a valid frame.
-    Corrupt(FrameCorruption),
-}
-
-/// The outcome of the zero-copy scan: like [`FrameScan`], but a
-/// complete frame's payload **borrows** the scanned buffer instead of
-/// copying it — the event loop decodes requests straight out of each
+/// The outcome of scanning a byte buffer for one frame. A complete
+/// frame's payload **borrows** the scanned buffer instead of copying
+/// it — the event loop decodes requests straight out of each
 /// connection's receive buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameScanRef<'a> {
@@ -227,7 +185,7 @@ pub enum FrameScanRef<'a> {
 /// Scans `buf` for one frame at offset 0 without consuming input and
 /// without copying the payload.
 ///
-/// Unlike the streaming [`read_frame`], this never blocks: partial
+/// Unlike the streaming [`read_frame_into`], this never blocks: partial
 /// frames report [`FrameScanRef::Incomplete`]. A length field beyond
 /// [`MAX_FRAME_PAYLOAD`] and a checksum mismatch are immediately
 /// [`FrameScanRef::Corrupt`] — a decoder must not wait for a 4 GiB
@@ -255,28 +213,14 @@ pub fn scan_frame_ref(buf: &[u8]) -> FrameScanRef<'_> {
     }
 }
 
-/// Copying variant of [`scan_frame_ref`], kept for callers that need
-/// the payload to outlive the buffer (the threads io-model's reader
-/// drains its buffer before dispatching).
-pub fn scan_frame(buf: &[u8]) -> FrameScan {
-    match scan_frame_ref(buf) {
-        FrameScanRef::Complete { payload, consumed } => FrameScan::Complete {
-            payload: payload.to_vec(),
-            consumed,
-        },
-        FrameScanRef::Incomplete => FrameScan::Incomplete,
-        FrameScanRef::Corrupt(c) => FrameScan::Corrupt(c),
-    }
-}
-
 /// Scans a complete byte stream (no more input coming) for one frame —
 /// the decoder used by the proptests and the golden fixture: torn
 /// tails decode to a clean [`FrameCorruption`], never a panic.
-pub fn decode_frame_eof(buf: &[u8]) -> Result<(Vec<u8>, usize), FrameCorruption> {
-    match scan_frame(buf) {
-        FrameScan::Complete { payload, consumed } => Ok((payload, consumed)),
-        FrameScan::Corrupt(c) => Err(c),
-        FrameScan::Incomplete => {
+pub fn decode_frame_eof(buf: &[u8]) -> Result<(&[u8], usize), FrameCorruption> {
+    match scan_frame_ref(buf) {
+        FrameScanRef::Complete { payload, consumed } => Ok((payload, consumed)),
+        FrameScanRef::Corrupt(c) => Err(c),
+        FrameScanRef::Incomplete => {
             if buf.len() < 8 {
                 Err(FrameCorruption::TornHeader)
             } else {
@@ -295,27 +239,15 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(&encode_frame(payload))
 }
 
-/// Reads one frame from `r`, blocking. Returns [`ProtoError::Closed`]
-/// when the stream ends cleanly *between* frames; an EOF mid-frame is
-/// a corrupt (torn) frame.
-///
-/// Allocates a fresh payload per call; hot loops should hold a scratch
-/// buffer and call [`read_frame_into`] instead.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
-    let mut payload = Vec::new();
-    read_frame_into(r, &mut payload)?;
-    Ok(payload)
-}
-
-/// Reads one frame from `r` into `scratch`, reusing its allocation.
-/// On success `scratch` holds exactly the payload bytes. A reuse —
-/// the buffer's existing capacity was enough, no allocation — counts
-/// `serve.frame.buf_reuse`.
+/// Reads one frame from `r` into `scratch`, blocking and reusing its
+/// allocation. On success `scratch` holds exactly the payload bytes. A
+/// reuse — the buffer's existing capacity was enough, no allocation —
+/// counts `serve.frame.buf_reuse`.
 ///
 /// # Errors
 ///
-/// As [`read_frame`]: [`ProtoError::Closed`] on clean EOF between
-/// frames, torn/corrupt frames, socket errors.
+/// [`ProtoError::Closed`] when the stream ends cleanly *between*
+/// frames; an EOF mid-frame is a corrupt (torn) frame; socket errors.
 pub fn read_frame_into(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(), ProtoError> {
     let mut header = [0u8; 8];
     let mut got = 0usize;
@@ -445,7 +377,7 @@ pub struct Request {
 }
 
 impl RequestBody {
-    /// The canonical text form shared by every protocol version.
+    /// The canonical text form.
     fn to_text(&self) -> String {
         match self {
             RequestBody::Open { session, cell } => format!("open {session} {cell}"),
@@ -466,16 +398,6 @@ impl RequestBody {
             RequestBody::Shutdown => "shutdown".to_owned(),
             RequestBody::Stall { session, ms } => format!("stall {session} {ms}"),
         }
-    }
-
-    /// Parses the text form (shared by every protocol version).
-    /// Convenience over the zero-copy [`RequestBodyRef::parse`].
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of what is malformed.
-    pub fn from_text(text: &str) -> Result<RequestBody, String> {
-        RequestBodyRef::parse(text).map(RequestBodyRef::to_owned)
     }
 }
 
@@ -538,8 +460,7 @@ impl<'a> RequestBodyRef<'a> {
     ///
     /// # Errors
     ///
-    /// A human-readable description of what is malformed (identical to
-    /// the owned parser's messages).
+    /// A human-readable description of what is malformed.
     pub fn parse(text: &'a str) -> Result<RequestBodyRef<'a>, String> {
         let f: Vec<&'a str> = text.split_whitespace().collect();
         Ok(match f.first().copied() {
@@ -589,8 +510,8 @@ impl<'a> RequestBodyRef<'a> {
         })
     }
 
-    /// Materializes owned strings (normalizing a `cmd` line's interior
-    /// whitespace exactly like the owned parser always has).
+    /// Materializes owned strings, normalizing a `cmd` line's interior
+    /// whitespace.
     pub fn to_owned(self) -> RequestBody {
         match self {
             RequestBodyRef::Open { session, cell } => RequestBody::Open {
@@ -629,36 +550,18 @@ pub struct RequestRef<'a> {
 }
 
 impl<'a> RequestRef<'a> {
-    /// Parses a v1 frame payload without copying.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of what is malformed.
-    pub fn decode(payload: &'a [u8]) -> Result<RequestRef<'a>, String> {
-        if payload.len() < 8 {
-            return Err(format!(
-                "request payload of {} bytes cannot hold an id",
-                payload.len()
-            ));
-        }
-        let id = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let text = std::str::from_utf8(&payload[8..]).map_err(|e| format!("not UTF-8: {e}"))?;
-        Ok(RequestRef {
-            id,
-            body: RequestBodyRef::parse(text)?,
-        })
-    }
-
-    /// Parses a v2 frame payload without copying: id, flags, optional
+    /// Parses a frame payload without copying: id, flags, optional
     /// trace context, text form.
     ///
     /// # Errors
     ///
-    /// As [`Request::decode_v2`].
-    pub fn decode_v2(payload: &'a [u8]) -> Result<(RequestRef<'a>, Option<TraceContext>), String> {
+    /// A human-readable description of what is malformed — including
+    /// any flag bit this revision does not know (a decoder cannot skip
+    /// fields it cannot size).
+    pub fn decode(payload: &'a [u8]) -> Result<(RequestRef<'a>, Option<TraceContext>), String> {
         if payload.len() < 9 {
             return Err(format!(
-                "v2 request payload of {} bytes cannot hold id + flags",
+                "request payload of {} bytes cannot hold id + flags",
                 payload.len()
             ));
         }
@@ -693,22 +596,6 @@ impl<'a> RequestRef<'a> {
         ))
     }
 
-    /// Version-dispatching zero-copy decode: v1 payloads never carry a
-    /// context.
-    ///
-    /// # Errors
-    ///
-    /// As [`RequestRef::decode`] / [`RequestRef::decode_v2`].
-    pub fn decode_versioned(
-        payload: &'a [u8],
-        version: ProtoVersion,
-    ) -> Result<(RequestRef<'a>, Option<TraceContext>), String> {
-        match version {
-            ProtoVersion::V1 => Ok((RequestRef::decode(payload)?, None)),
-            ProtoVersion::V2 => RequestRef::decode_v2(payload),
-        }
-    }
-
     /// Materializes an owned [`Request`].
     pub fn to_owned(self) -> Request {
         Request {
@@ -719,29 +606,10 @@ impl<'a> RequestRef<'a> {
 }
 
 impl Request {
-    /// Serializes to a v1 frame payload (id + text form).
-    pub fn encode(&self) -> Vec<u8> {
-        let text = self.body.to_text();
-        let mut out = Vec::with_capacity(8 + text.len());
-        out.extend_from_slice(&self.id.to_le_bytes());
-        out.extend_from_slice(text.as_bytes());
-        out
-    }
-
-    /// Parses a v1 frame payload into a request.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of what is malformed.
-    pub fn decode(payload: &[u8]) -> Result<Request, String> {
-        Ok(RequestRef::decode(payload)?.to_owned())
-    }
-
-    /// Serializes to a v2 frame payload: id, flags, optional trace
-    /// context, text form. `trace: None` (or a
-    /// [`TraceContext::NONE`]) emits a zero flags byte and no context
-    /// bytes.
-    pub fn encode_v2(&self, trace: Option<TraceContext>) -> Vec<u8> {
+    /// Serializes to a frame payload: id, flags, optional trace
+    /// context, text form. `trace: None` (or a [`TraceContext::NONE`])
+    /// emits a zero flags byte and no context bytes.
+    pub fn encode(&self, trace: Option<TraceContext>) -> Vec<u8> {
         let text = self.body.to_text();
         let trace = trace.filter(|c| !c.is_none());
         let mut out = Vec::with_capacity(9 + 16 + text.len());
@@ -756,38 +624,6 @@ impl Request {
         }
         out.extend_from_slice(text.as_bytes());
         out
-    }
-
-    /// Parses a v2 frame payload into a request plus its optional
-    /// trace context.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of what is malformed — including
-    /// any flag bit this revision does not know (a v2 decoder cannot
-    /// skip fields it cannot size).
-    pub fn decode_v2(payload: &[u8]) -> Result<(Request, Option<TraceContext>), String> {
-        let (req, trace) = RequestRef::decode_v2(payload)?;
-        Ok((req.to_owned(), trace))
-    }
-
-    /// Version-dispatching decode: v1 payloads never carry a context.
-    pub fn decode_versioned(
-        payload: &[u8],
-        version: ProtoVersion,
-    ) -> Result<(Request, Option<TraceContext>), String> {
-        match version {
-            ProtoVersion::V1 => Ok((Request::decode(payload)?, None)),
-            ProtoVersion::V2 => Request::decode_v2(payload),
-        }
-    }
-
-    /// Version-dispatching encode (v1 silently drops the context).
-    pub fn encode_versioned(&self, version: ProtoVersion, trace: Option<TraceContext>) -> Vec<u8> {
-        match version {
-            ProtoVersion::V1 => self.encode(),
-            ProtoVersion::V2 => self.encode_v2(trace),
-        }
     }
 }
 
@@ -861,58 +697,20 @@ impl Reply {
     }
 }
 
-/// Server-side handshake: reads the client magic (either revision),
-/// echoes it back, and returns the negotiated version. Old `RIOTSRV1`
-/// clients see exactly the pre-v2 byte exchange.
-pub fn handshake_server(stream: &mut (impl Read + Write)) -> Result<ProtoVersion, ProtoError> {
-    let mut magic = [0u8; 8];
-    stream.read_exact(&mut magic).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtoError::Corrupt(FrameCorruption::BadMagic)
-        } else {
-            ProtoError::Io(e)
-        }
-    })?;
-    let version = if &magic == SRV_MAGIC {
-        ProtoVersion::V1
-    } else if &magic == SRV_MAGIC_V2 {
-        ProtoVersion::V2
-    } else {
-        return Err(ProtoError::Corrupt(FrameCorruption::BadMagic));
-    };
-    stream.write_all(version.magic())?;
-    stream.flush()?;
-    Ok(version)
-}
-
-/// Client-side v1 handshake: sends `RIOTSRV1` and verifies the echo.
+/// Client-side handshake: sends `RIOTSRV2` and verifies the echo.
+///
+/// # Errors
+///
+/// Socket failures, or an echo that is not the magic.
 pub fn handshake_client(stream: &mut (impl Read + Write)) -> Result<(), ProtoError> {
-    stream.write_all(SRV_MAGIC)?;
-    stream.flush()?;
-    let mut magic = [0u8; 8];
-    stream.read_exact(&mut magic)?;
-    if &magic != SRV_MAGIC {
-        return Err(ProtoError::Corrupt(FrameCorruption::BadMagic));
-    }
-    Ok(())
-}
-
-/// Client-side v2 handshake: announces `RIOTSRV2` and accepts either
-/// echo, returning the version the server committed to (an up-level
-/// server echoes v2; the negotiation degrades cleanly if a future
-/// server chooses to pin v1).
-pub fn handshake_client_v2(stream: &mut (impl Read + Write)) -> Result<ProtoVersion, ProtoError> {
     stream.write_all(SRV_MAGIC_V2)?;
     stream.flush()?;
     let mut magic = [0u8; 8];
     stream.read_exact(&mut magic)?;
-    if &magic == SRV_MAGIC_V2 {
-        Ok(ProtoVersion::V2)
-    } else if &magic == SRV_MAGIC {
-        Ok(ProtoVersion::V1)
-    } else {
-        Err(ProtoError::Corrupt(FrameCorruption::BadMagic))
+    if &magic != SRV_MAGIC_V2 {
+        return Err(ProtoError::Corrupt(FrameCorruption::BadMagic));
     }
+    Ok(())
 }
 
 /// Is `name` acceptable as a session name? Session names become WAL
@@ -929,6 +727,19 @@ pub fn valid_session_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes `bytes` and materializes the owned request.
+    fn decode(bytes: &[u8]) -> Result<(Request, Option<TraceContext>), String> {
+        RequestRef::decode(bytes).map(|(req, trace)| (req.to_owned(), trace))
+    }
+
+    /// An untraced payload: id, a zero flags byte, then `text`.
+    fn payload(text: &[u8]) -> Vec<u8> {
+        let mut p = 1u64.to_le_bytes().to_vec();
+        p.push(0);
+        p.extend_from_slice(text);
+        p
+    }
 
     #[test]
     fn frame_round_trip() {
@@ -978,8 +789,8 @@ mod tests {
         let mut frame = encode_frame(b"x");
         frame[..4].copy_from_slice(&(u32::MAX).to_le_bytes());
         assert!(matches!(
-            scan_frame(&frame),
-            FrameScan::Corrupt(FrameCorruption::TooLarge(_))
+            scan_frame_ref(&frame),
+            FrameScanRef::Corrupt(FrameCorruption::TooLarge(_))
         ));
     }
 
@@ -1017,8 +828,7 @@ mod tests {
                 id: 0xDEAD_0000 + i as u64,
                 body,
             };
-            let again = Request::decode(&req.encode()).unwrap();
-            assert_eq!(req, again);
+            assert_eq!(decode(&req.encode(None)).unwrap(), (req, None));
         }
     }
 
@@ -1037,20 +847,14 @@ mod tests {
 
     #[test]
     fn request_decode_rejects_garbage() {
-        assert!(Request::decode(b"short").is_err());
-        let mut p = 1u64.to_le_bytes().to_vec();
-        p.extend_from_slice(b"frobnicate x");
-        assert!(Request::decode(&p).is_err());
-        let mut p = 1u64.to_le_bytes().to_vec();
-        p.extend_from_slice(&[0xFF, 0xFE, 0x80]);
-        assert!(Request::decode(&p).is_err());
-        let mut p = 1u64.to_le_bytes().to_vec();
-        p.extend_from_slice(b"open only_two");
-        assert!(Request::decode(&p).is_err());
+        assert!(decode(b"short").is_err());
+        assert!(decode(&payload(b"frobnicate x")).is_err());
+        assert!(decode(&payload(&[0xFF, 0xFE, 0x80])).is_err());
+        assert!(decode(&payload(b"open only_two")).is_err());
     }
 
     #[test]
-    fn v2_round_trip_with_and_without_context() {
+    fn trace_context_is_optional() {
         let req = Request {
             id: 99,
             body: RequestBody::Cmd {
@@ -1059,31 +863,29 @@ mod tests {
             },
         };
         let ctx = TraceContext::new(0xABCD_EF01_2345_6789, 42);
-        let (again, trace) = Request::decode_v2(&req.encode_v2(Some(ctx))).unwrap();
-        assert_eq!(again, req);
-        assert_eq!(trace, Some(ctx));
-        let (again, trace) = Request::decode_v2(&req.encode_v2(None)).unwrap();
-        assert_eq!(again, req);
-        assert_eq!(trace, None);
+        assert_eq!(
+            decode(&req.encode(Some(ctx))).unwrap(),
+            (req.clone(), Some(ctx))
+        );
+        assert_eq!(decode(&req.encode(None)).unwrap(), (req.clone(), None));
         // A NONE context is normalized away rather than wasting bytes.
-        let bytes = req.encode_v2(Some(TraceContext::NONE));
+        let bytes = req.encode(Some(TraceContext::NONE));
         assert_eq!(bytes[8], 0);
-        assert_eq!(Request::decode_v2(&bytes).unwrap().1, None);
+        assert_eq!(decode(&bytes).unwrap().1, None);
     }
 
     #[test]
-    fn v2_rejects_unknown_flags_and_torn_context() {
+    fn unknown_flags_and_torn_context_are_rejected() {
         let req = Request {
             id: 7,
             body: RequestBody::Ping,
         };
-        let mut bytes = req.encode_v2(None);
+        let mut bytes = req.encode(None);
         bytes[8] = 0x80;
-        assert!(Request::decode_v2(&bytes).is_err());
-        let mut bytes = req.encode_v2(Some(TraceContext::new(1, 2)));
+        assert!(decode(&bytes).is_err());
+        let mut bytes = req.encode(Some(TraceContext::new(1, 2)));
         bytes.truncate(12); // flags promise 16 context bytes
-        assert!(Request::decode_v2(&bytes).is_err());
-        assert!(Request::decode_v2(b"short").is_err());
+        assert!(decode(&bytes).is_err());
     }
 
     #[test]
@@ -1098,56 +900,16 @@ mod tests {
             RequestBody::Dump,
         ] {
             let req = Request { id: 5, body };
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-            let (again, trace) = Request::decode_v2(&req.encode_v2(None)).unwrap();
-            assert_eq!(again, req);
-            assert_eq!(trace, None);
+            assert_eq!(decode(&req.encode(None)).unwrap(), (req, None));
         }
         // Bare `telemetry` defaults to Prometheus.
-        let mut p = 1u64.to_le_bytes().to_vec();
-        p.extend_from_slice(b"telemetry");
         assert_eq!(
-            Request::decode(&p).unwrap().body,
+            decode(&payload(b"telemetry")).unwrap().0.body,
             RequestBody::Telemetry {
                 format: TelemetryFormat::Prometheus
             }
         );
-        let mut p = 1u64.to_le_bytes().to_vec();
-        p.extend_from_slice(b"telemetry xml");
-        assert!(Request::decode(&p).is_err());
-    }
-
-    #[test]
-    fn handshake_negotiates_both_versions() {
-        use std::collections::VecDeque;
-        // A loopback "socket": reads drain the front, writes append.
-        struct Pipe(VecDeque<u8>);
-        impl Read for Pipe {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                let n = buf.len().min(self.0.len());
-                for b in buf.iter_mut().take(n) {
-                    *b = self.0.pop_front().expect("len checked");
-                }
-                Ok(n)
-            }
-        }
-        impl Write for Pipe {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.extend(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut p = Pipe(VecDeque::from(SRV_MAGIC.to_vec()));
-        assert_eq!(handshake_server(&mut p).unwrap(), ProtoVersion::V1);
-        assert_eq!(p.0.make_contiguous(), SRV_MAGIC);
-        let mut p = Pipe(VecDeque::from(SRV_MAGIC_V2.to_vec()));
-        assert_eq!(handshake_server(&mut p).unwrap(), ProtoVersion::V2);
-        assert_eq!(p.0.make_contiguous(), SRV_MAGIC_V2);
-        let mut p = Pipe(VecDeque::from(b"RIOTSRV9".to_vec()));
-        assert!(handshake_server(&mut p).is_err());
+        assert!(decode(&payload(b"telemetry xml")).is_err());
     }
 
     #[test]
@@ -1157,17 +919,6 @@ mod tests {
         assert!(!valid_session_name("../../etc/passwd"));
         assert!(!valid_session_name("a.wal"));
         assert!(!valid_session_name(&"x".repeat(65)));
-    }
-
-    #[test]
-    fn stream_read_write_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
-        write_frame(&mut buf, b"two").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"one");
-        assert_eq!(read_frame(&mut r).unwrap(), b"two");
-        assert!(matches!(read_frame(&mut r), Err(ProtoError::Closed)));
     }
 
     #[test]

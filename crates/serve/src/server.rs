@@ -1,9 +1,9 @@
-//! The server: the readiness-driven connection plane (default) and the
-//! thread-per-connection fallback, plus graceful drain.
+//! The server: the readiness-driven connection plane plus graceful
+//! drain.
 //!
-//! # Io models
+//! # Connection plane
 //!
-//! **`poll` (default).** One event-loop thread owns every connection:
+//! One event-loop thread owns every connection:
 //! the listener, a wakeup pipe and each connection's socket are
 //! multiplexed through `poll(2)` ([`crate::net::PollSet`]). Sockets are
 //! non-blocking; each connection is a pure [`Connection`] state machine
@@ -18,14 +18,9 @@
 //! stops reading (slow readers throttle themselves), past the cap it is
 //! evicted (`serve.conn.evicted`).
 //!
-//! **`threads`.** The original model — one reader thread plus one
-//! writer thread per connection — kept behind `--io-model threads` as
-//! the blocking fallback. Its reader also scans frames in place now;
-//! only dispatch copies.
-//!
 //! Per-session FIFO ordering in the manager, plus a single writer per
-//! connection (the event loop's backlog or the writer thread), means
-//! pipelined replies can never be misordered.
+//! connection (the event loop's backlog), means pipelined replies can
+//! never be misordered.
 //!
 //! # Shutdown
 //!
@@ -33,21 +28,15 @@
 //! [`request_stop`]: the stop flag is set and the wakeup pipe kicked,
 //! so the poll loop wakes **immediately** (no tick worst-case), drains
 //! every connection's queued replies and exits once the last one
-//! closes. Under the threads model the acceptor is woken with a
-//! loopback connection and every connection's read side is shut down —
-//! blocked readers return instantly instead of waiting out their poll
-//! tick. Nothing is dropped either way: replies already queued still go
-//! out before the sockets close.
+//! closes. Nothing is dropped: replies already queued still go out
+//! before the sockets close.
 
-use crate::config::{IoModel, ServeConfig};
+use crate::config::ServeConfig;
 use crate::conn::{ConnEvent, Connection, QueueOutcome};
 use crate::flightrec::{self, FlightKind};
 use crate::manager::{JobKind, ReplyTx, SessionManager};
 use crate::net::{Bind, BoundAddr, Interest, Listener, PollSet, Stream, WakePipe};
-use crate::proto::{
-    scan_frame_ref, write_frame, FrameScanRef, ProtoVersion, Reply, ReplyBody, RequestBodyRef,
-    RequestRef, TelemetryFormat, SRV_MAGIC, SRV_MAGIC_V2,
-};
+use crate::proto::{Reply, ReplyBody, RequestBodyRef, RequestRef, TelemetryFormat};
 use crate::telemetry::TelemetryServer;
 use riot_core::{
     FAULT_SERVE_ACCEPT, FAULT_SERVE_CONN_BACKLOG, FAULT_SERVE_FRAME_DECODE, FAULT_SERVE_POLL_WAKEUP,
@@ -55,13 +44,13 @@ use riot_core::{
 use riot_trace::TraceContext;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// State shared by the accept/event-loop thread and every connection.
+/// State shared by the event-loop thread and the server handle.
 struct Shared {
     cfg: ServeConfig,
     mgr: SessionManager,
@@ -70,12 +59,6 @@ struct Shared {
     /// Event-loop wakeup pipe: kicked on shutdown and by every routed
     /// reply becoming ready.
     wake: Arc<WakePipe>,
-    /// Threads model: connection-thread join handles.
-    conns: Mutex<Vec<JoinHandle<()>>>,
-    /// Threads model: one cloned stream per live connection so
-    /// [`request_stop`] can shut their read sides down immediately.
-    conn_streams: Mutex<HashMap<u64, Stream>>,
-    next_conn: AtomicU64,
 }
 
 /// A running server. Obtain with [`Server::start`]; stop with
@@ -91,9 +74,8 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds `bind`, starts the worker pool and the io thread (the
-    /// poll event loop, or the accept thread under `--io-model
-    /// threads`).
+    /// Binds `bind`, starts the worker pool and the event-loop
+    /// thread.
     ///
     /// # Errors
     ///
@@ -110,24 +92,17 @@ impl Server {
             Some(addr) => Some(TelemetryServer::start(addr, Arc::clone(&cfg.flightrec))?),
             None => None,
         };
-        let io_model = cfg.io_model;
         let shared = Arc::new(Shared {
             cfg,
             mgr,
             stop: AtomicBool::new(false),
             bound,
             wake,
-            conns: Mutex::new(Vec::new()),
-            conn_streams: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(1),
         });
         let io_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("riot-serve-io".into())
-            .spawn(move || match io_model {
-                IoModel::Poll => poll_loop(listener, &io_shared),
-                IoModel::Threads => accept_loop(&listener, &io_shared),
-            })
+            .spawn(move || poll_loop(listener, &io_shared))
             .expect("spawn io thread");
         Ok(ServerHandle {
             shared,
@@ -173,18 +148,6 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        loop {
-            let batch: Vec<JoinHandle<()>> = {
-                let mut conns = self.shared.conns.lock().expect("conns lock");
-                conns.drain(..).collect()
-            };
-            if batch.is_empty() {
-                break;
-            }
-            for h in batch {
-                let _ = h.join();
-            }
-        }
         if let BoundAddr::Unix(path) = &self.shared.bound {
             let _ = std::fs::remove_file(path);
         }
@@ -207,37 +170,11 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Sets the stop flag and wakes whoever is blocked on io: the poll
-/// loop via its wakeup pipe; under the threads model also the blocked
-/// `accept(2)` (loopback poke) and every connection reader (read-side
-/// shutdown — their next read returns immediately, while queued
-/// replies still flush out the intact write side).
+/// Sets the stop flag and wakes the poll loop via its wakeup pipe.
 fn request_stop(shared: &Shared) {
     shared.stop.store(true, Ordering::Relaxed);
     shared.wake.wake();
-    if shared.cfg.io_model == IoModel::Threads {
-        wake_acceptor(&shared.bound);
-        for s in shared
-            .conn_streams
-            .lock()
-            .expect("conn streams lock")
-            .values()
-        {
-            s.shutdown_read();
-        }
-    }
 }
-
-/// Pokes a blocked `accept(2)` with a throwaway loopback connection.
-fn wake_acceptor(bound: &BoundAddr) {
-    if let Ok(s) = Stream::connect(bound) {
-        s.shutdown_both();
-    }
-}
-
-// ----------------------------------------------------------------------
-// The poll io-model: one readiness event loop owns every connection
-// ----------------------------------------------------------------------
 
 /// One live connection inside the event loop.
 struct PollConn {
@@ -472,10 +409,8 @@ fn process_events(shared: &Arc<Shared>, pc: &mut PollConn) {
     loop {
         match pc.conn.next_event() {
             None => return,
-            Some(ConnEvent::Handshake(v)) => {
-                if v == ProtoVersion::V2 {
-                    reg.counter("serve.handshake.v2").inc();
-                }
+            Some(ConnEvent::Handshake) => {
+                reg.counter("serve.handshake.v2").inc();
             }
             Some(ConnEvent::BadMagic) => {
                 reg.counter("serve.handshake.rejected").inc();
@@ -484,9 +419,7 @@ fn process_events(shared: &Arc<Shared>, pc: &mut PollConn) {
             Some(ConnEvent::Frame { off, len }) => {
                 reg.counter("serve.conn.decode.in_place").inc();
                 pc.conn.note_dispatched();
-                let version = pc.conn.version().unwrap_or(ProtoVersion::V1);
-                let keep =
-                    handle_frame(pc.conn.frame_payload(off, len), shared, &pc.reply, version);
+                let keep = handle_frame(pc.conn.frame_payload(off, len), shared, &pc.reply);
                 if !keep {
                     pc.conn.begin_drain();
                     return;
@@ -554,211 +487,11 @@ fn evict_stalled(shared: &Arc<Shared>, conns: &mut HashMap<u64, PollConn>) {
     }
 }
 
-// ----------------------------------------------------------------------
-// The threads io-model: reader + writer thread per connection
-// ----------------------------------------------------------------------
-
-fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => break,
-        };
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if shared.cfg.faults.should_inject(FAULT_SERVE_ACCEPT) {
-            stream.shutdown_both();
-            continue;
-        }
-        riot_trace::registry().counter("serve.connections").inc();
-        let token = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            shared
-                .conn_streams
-                .lock()
-                .expect("conn streams lock")
-                .insert(token, clone);
-        }
-        let conn_shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("riot-serve-conn".into())
-            .spawn(move || {
-                let _span = riot_trace::span!("serve.accept");
-                connection(stream, &conn_shared);
-                conn_shared
-                    .conn_streams
-                    .lock()
-                    .expect("conn streams lock")
-                    .remove(&token);
-            })
-            .expect("spawn connection thread");
-        shared.conns.lock().expect("conns lock").push(handle);
-    }
-}
-
-/// How often a blocked reader wakes to check the stop flag. Shutdown
-/// no longer waits on this — [`request_stop`] shuts read sides down —
-/// but idle-timeout accounting still ticks at this rate.
-const POLL_TICK: Duration = Duration::from_millis(50);
-
-/// One connection: handshake, then a reader loop feeding the manager
-/// and a writer thread draining the reply channel.
-fn connection(mut stream: Stream, shared: &Arc<Shared>) {
-    // Timeouts go on *before* the handshake: a half-open peer that
-    // never sends its magic is evicted by the deadline in
-    // `read_magic`, instead of pinning this thread forever.
-    let _ = stream.set_read_timeout(Some(POLL_TICK));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let Some(version) = read_magic(&mut stream, shared) else {
-        return;
-    };
-    if version == ProtoVersion::V2 {
-        riot_trace::registry().counter("serve.handshake.v2").inc();
-    }
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (reply_tx, reply_rx) = channel::<Reply>();
-    let writer = std::thread::Builder::new()
-        .name("riot-serve-writer".into())
-        .spawn(move || writer_loop(writer_stream, &reply_rx))
-        .expect("spawn writer thread");
-
-    let reply_tx = ReplyTx::direct(reply_tx);
-    reader_loop(&mut stream, shared, &reply_tx, version);
-
-    // Reader done: drop our sender so the writer exits once every
-    // in-flight worker reply has drained.
-    drop(reply_tx);
-    let _ = writer.join();
-    stream.shutdown_both();
-}
-
-fn writer_loop(stream: Stream, reply_rx: &Receiver<Reply>) {
-    let mut out = std::io::BufWriter::new(stream);
-    while let Ok(reply) = reply_rx.recv() {
-        if write_frame(&mut out, &reply.encode()).is_err() || out.flush().is_err() {
-            break;
-        }
-    }
-    if let Ok(inner) = out.into_inner() {
-        inner.shutdown_write();
-    }
-}
-
-/// Reads the 8-byte magic with a deadline, checking the stop flag each
-/// poll tick, and echoes it back. `None` means evict the connection
-/// (EOF, timeout, stop, io error, or unknown magic).
-fn read_magic(stream: &mut Stream, shared: &Shared) -> Option<ProtoVersion> {
-    let mut magic = [0u8; 8];
-    let mut got = 0usize;
-    let deadline = Instant::now() + shared.cfg.read_timeout;
-    while got < 8 {
-        if shared.stop.load(Ordering::Relaxed) {
-            return None;
-        }
-        match stream.read(&mut magic[got..]) {
-            Ok(0) => return None,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if Instant::now() >= deadline {
-                    riot_trace::registry().counter("serve.read.timeout").inc();
-                    return None;
-                }
-            }
-            Err(_) => return None,
-        }
-    }
-    let version = if &magic == SRV_MAGIC {
-        ProtoVersion::V1
-    } else if &magic == SRV_MAGIC_V2 {
-        ProtoVersion::V2
-    } else {
-        riot_trace::registry()
-            .counter("serve.handshake.rejected")
-            .inc();
-        return None;
-    };
-    stream.write_all(version.magic()).ok()?;
-    Some(version)
-}
-
-/// Reads frames until EOF, corruption, read-timeout or server stop.
-/// Frames are scanned in place — the payload handed to `handle_frame`
-/// borrows the receive buffer; only dispatch copies.
-fn reader_loop(
-    stream: &mut Stream,
-    shared: &Arc<Shared>,
-    reply_tx: &ReplyTx,
-    version: ProtoVersion,
-) {
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut tmp = [0u8; 4096];
-    let mut last_byte = Instant::now();
-    loop {
-        // Drain every complete frame already buffered.
-        loop {
-            let (keep, consumed) = match scan_frame_ref(&buf) {
-                FrameScanRef::Complete { payload, consumed } => {
-                    riot_trace::registry()
-                        .counter("serve.conn.decode.in_place")
-                        .inc();
-                    (handle_frame(payload, shared, reply_tx, version), consumed)
-                }
-                FrameScanRef::Incomplete => break,
-                FrameScanRef::Corrupt(c) => {
-                    riot_trace::registry().counter("serve.frame.corrupt").inc();
-                    reply_tx.send(Reply {
-                        id: u64::MAX,
-                        body: ReplyBody::Err(format!("corrupt frame: {c}; closing")),
-                    });
-                    return;
-                }
-            };
-            buf.drain(..consumed);
-            if !keep {
-                return;
-            }
-        }
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => return, // peer closed cleanly
-            Ok(n) => {
-                buf.extend_from_slice(&tmp[..n]);
-                last_byte = Instant::now();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if last_byte.elapsed() >= shared.cfg.read_timeout {
-                    riot_trace::registry().counter("serve.read.timeout").inc();
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Frame handling (shared by both io models)
-// ----------------------------------------------------------------------
-
 /// Decodes and dispatches one frame. Returns `false` to close the
 /// connection. Decode is zero-copy ([`RequestRef`] borrows `payload`);
 /// only the dispatch arms materialize owned strings for the worker
 /// pool.
-fn handle_frame(
-    payload: &[u8],
-    shared: &Arc<Shared>,
-    reply_tx: &ReplyTx,
-    version: ProtoVersion,
-) -> bool {
+fn handle_frame(payload: &[u8], shared: &Arc<Shared>, reply_tx: &ReplyTx) -> bool {
     let decode_start = Instant::now();
     let _span = riot_trace::span!("serve.frame", bytes = payload.len() as u64);
     riot_trace::registry().counter("serve.frames").inc();
@@ -777,7 +510,7 @@ fn handle_frame(
         });
         return false;
     }
-    let (req, trace) = match RequestRef::decode_versioned(payload, version) {
+    let (req, trace) = match RequestRef::decode(payload) {
         Ok(t) => t,
         Err(e) => {
             reply_tx.send(Reply {
@@ -895,8 +628,9 @@ fn dispatch(
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::proto::{decode_frame_eof, encode_frame, Request, RequestBody};
+    use crate::proto::{decode_frame_eof, encode_frame, Request, RequestBody, SRV_MAGIC_V2};
     use std::path::{Path, PathBuf};
+    use std::time::Duration;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("riot-serve-srv-{tag}-{}", std::process::id()));
@@ -921,22 +655,6 @@ mod tests {
         assert_eq!(c.cmd("t1", "create nand2 A").unwrap(), "instance 0");
         assert_eq!(c.cmd("t1", "translate A 5000 0").unwrap(), "done");
         assert_eq!(c.close_session("t1").unwrap(), "closed");
-        drop(c);
-        h.shutdown();
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn threads_model_still_serves() {
-        let root = tmp_root("thr");
-        let mut cfg = test_cfg(&root);
-        cfg.io_model = IoModel::Threads;
-        let h = Server::start(cfg, &Bind::Tcp("127.0.0.1:0".into())).unwrap();
-        let mut c = Client::connect(&h.addr()).unwrap();
-        assert_eq!(c.ping().unwrap(), "pong");
-        assert_eq!(c.open("t2", "TOP").unwrap(), "created");
-        assert_eq!(c.cmd("t2", "create nand2 A").unwrap(), "instance 0");
-        assert_eq!(c.close_session("t2").unwrap(), "closed");
         drop(c);
         h.shutdown();
         let _ = std::fs::remove_dir_all(root);
@@ -984,11 +702,14 @@ mod tests {
     fn bad_magic_is_rejected() {
         let root = tmp_root("magic");
         let h = Server::start(test_cfg(&root), &Bind::Tcp("127.0.0.1:0".into())).unwrap();
-        let mut s = Stream::connect(&h.addr()).unwrap();
-        s.write_all(b"NOTRIOT!").unwrap();
-        let mut b = [0u8; 1];
-        // Server closes without echoing the magic.
-        assert!(matches!(s.read(&mut b), Ok(0) | Err(_)));
+        // `RIOTSRV1` is refused like any other unknown magic.
+        for magic in [b"NOTRIOT!", b"RIOTSRV1"] {
+            let mut s = Stream::connect(&h.addr()).unwrap();
+            s.write_all(magic).unwrap();
+            let mut b = [0u8; 1];
+            // Server closes without echoing the magic.
+            assert!(matches!(s.read(&mut b), Ok(0) | Err(_)));
+        }
         h.shutdown();
         let _ = std::fs::remove_dir_all(root);
     }
@@ -998,16 +719,16 @@ mod tests {
         let root = tmp_root("corrupt");
         let h = Server::start(test_cfg(&root), &Bind::Tcp("127.0.0.1:0".into())).unwrap();
         let mut s = Stream::connect(&h.addr()).unwrap();
-        s.write_all(SRV_MAGIC).unwrap();
+        s.write_all(SRV_MAGIC_V2).unwrap();
         let mut echo = [0u8; 8];
         s.read_exact(&mut echo).unwrap();
-        assert_eq!(&echo, SRV_MAGIC);
+        assert_eq!(&echo, SRV_MAGIC_V2);
         let mut frame = encode_frame(
             &Request {
                 id: 1,
                 body: RequestBody::Ping,
             }
-            .encode(),
+            .encode(None),
         );
         let last = frame.len() - 1;
         frame[last] ^= 0x40; // bad checksum
@@ -1015,7 +736,7 @@ mod tests {
         let mut wire = Vec::new();
         s.read_to_end(&mut wire).unwrap(); // server replies, then closes
         let (payload, _) = decode_frame_eof(&wire).unwrap();
-        let reply = Reply::decode(&payload).unwrap();
+        let reply = Reply::decode(payload).unwrap();
         assert_eq!(reply.id, u64::MAX);
         assert!(
             matches!(reply.body, ReplyBody::Err(ref m) if m.contains("corrupt frame")),

@@ -14,12 +14,12 @@
 //! Appends move through two watermarks: [`SessionEntry::stage_journal`]
 //! encodes fresh journal records into an in-memory staging buffer
 //! (`staged_records`), and [`SessionEntry::flush_staged`] writes that
-//! buffer and **fsyncs** (`durable_records`). The group-commit queue in
-//! [`crate::manager`] stages many runs — across sessions — and pays one
-//! fsync per dirty WAL per flush window; the per-run path
-//! ([`SessionEntry::sync_journal`]) simply does both steps at once.
-//! Every fsync the server issues, including close and idle-eviction
-//! flushes, goes through one instrumented helper so the
+//! buffer and **fsyncs** (`durable_records`). A worker in
+//! [`crate::manager`] stages every run of a drained batch — across
+//! sessions — and pays one fsync per dirty WAL in the batch's flush
+//! pass; [`SessionEntry::sync_all`] does both steps at once for close,
+//! eviction and drain. Every fsync the server issues goes through one
+//! instrumented helper so the
 //! `serve.wal.fsync_ns` histogram and `serve.wal.fsyncs` counter are
 //! the whole story.
 //!
@@ -84,7 +84,7 @@ pub struct SessionEntry {
     pub durable_records: usize,
     /// Last time a worker touched this session (drives idle eviction).
     pub last_touch: Instant,
-    /// Encoded records staged for the next group flush.
+    /// Encoded records staged for the next flush pass.
     staged: Vec<u8>,
     /// Journal records encoded into `staged` (absolute watermark;
     /// `durable_records <= staged_records <= journal length`).
@@ -315,7 +315,7 @@ impl SessionEntry {
     /// Encodes every journal record the suspended checkpoint holds
     /// beyond the staging watermark into the in-memory staging buffer.
     /// Nothing touches the disk; a later [`SessionEntry::flush_staged`]
-    /// (typically the group-commit flush pass) makes it durable.
+    /// (typically the batch's flush pass) makes it durable.
     /// Returns the number of records staged.
     pub fn stage_journal(&mut self) -> usize {
         let Some(cp) = self.cp.as_ref() else {
@@ -359,23 +359,6 @@ impl SessionEntry {
         reg.counter("serve.wal.records").add(newly as u64);
         self.durable_records = self.staged_records;
         Ok(newly)
-    }
-
-    /// Stages and flushes in one step: the per-run durability path used
-    /// when group commit is off. Returns the number of records that
-    /// became durable.
-    ///
-    /// # Errors
-    ///
-    /// WAL I/O failures (the in-memory state is still intact).
-    pub fn sync_journal(&mut self) -> io::Result<usize> {
-        self.stage_journal();
-        self.flush_staged()
-    }
-
-    /// True when staged records await their covering flush.
-    pub fn has_staged(&self) -> bool {
-        !self.staged.is_empty() || self.staged_records > self.durable_records
     }
 
     /// Discards staged-but-unflushed records (crash path: the session
@@ -646,7 +629,7 @@ mod tests {
             execute_line(&mut ed, "translate B 5000 0").unwrap();
             entry.cp = Some(ed.suspend());
         }
-        assert_eq!(entry.sync_journal().unwrap(), 3);
+        entry.sync_all().unwrap();
         assert_eq!(entry.durable_records, 4);
         drop(entry);
 
@@ -674,7 +657,7 @@ mod tests {
             execute_line(&mut ed, "create nand2 A").unwrap();
             entry.cp = Some(ed.suspend());
         }
-        entry.sync_journal().unwrap();
+        entry.sync_all().unwrap();
         // Crash mid-append of a command that was never acknowledged.
         entry.append_torn_record("create nand2 B");
         drop(entry);
@@ -708,10 +691,8 @@ mod tests {
             entry.cp = Some(ed.suspend());
         }
         assert_eq!(entry.stage_journal(), 2);
-        assert!(entry.has_staged());
         assert_eq!(entry.durable_records, 1, "staging wrote nothing");
         assert_eq!(entry.flush_staged().unwrap(), 2);
-        assert!(!entry.has_staged());
         assert_eq!(entry.durable_records, 3);
         assert_eq!(entry.flush_staged().unwrap(), 0, "idempotent");
         drop(entry);
@@ -734,7 +715,7 @@ mod tests {
             execute_line(&mut ed, "undo").unwrap();
             entry.cp = Some(ed.suspend());
         }
-        entry.sync_journal().unwrap();
+        entry.sync_all().unwrap();
         assert!(!entry.maybe_snapshot(&root, 100, &faults), "below interval");
         assert!(entry.maybe_snapshot(&root, 5, &faults), "5 durable >= 5");
         assert_eq!(entry.snap_covered(), 5);
@@ -748,7 +729,7 @@ mod tests {
             execute_line(&mut ed, "create nand2 D").unwrap();
             entry.cp = Some(ed.suspend());
         }
-        entry.sync_journal().unwrap();
+        entry.sync_all().unwrap();
         drop(entry);
 
         let replayed_before = riot_trace::registry()
@@ -787,7 +768,7 @@ mod tests {
             execute_line(&mut ed, "create nand2 B").unwrap();
             entry.cp = Some(ed.suspend());
         }
-        entry.sync_journal().unwrap();
+        entry.sync_all().unwrap();
         assert!(!entry.snapshot_now(&root, &faults), "fault tears the write");
         assert_eq!(entry.snap_covered(), 0, "torn snapshot is not trusted");
         // Compaction was skipped: the WAL still starts with the head.
@@ -824,7 +805,7 @@ mod tests {
             execute_line(&mut ed, "create nand2 A").unwrap();
             entry.cp = Some(ed.suspend());
         }
-        entry.sync_journal().unwrap();
+        entry.sync_all().unwrap();
         assert!(entry.snapshot_now(&root, &faults));
         drop(entry);
         std::fs::remove_file(crate::snapshot::snap_path(&root, "sg")).unwrap();
@@ -844,7 +825,7 @@ mod tests {
             execute_line(&mut ed, "redo").unwrap();
             entry.cp = Some(ed.suspend());
         }
-        entry.sync_journal().unwrap();
+        entry.sync_all().unwrap();
         drop(entry);
         let (mut entry2, kind) =
             SessionEntry::open(&root, "s3", "TOP", standard_library()).unwrap();

@@ -86,13 +86,19 @@ impl fmt::Display for SnapshotError {
     }
 }
 
+/// The fixed header that precedes `payload` on disk.
+fn snapshot_header(covered: u64, payload: &[u8]) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..9].copy_from_slice(SNAP_MAGIC);
+    h[9..17].copy_from_slice(&covered.to_le_bytes());
+    h[17..21].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    h[21..25].copy_from_slice(&crc32(payload).to_le_bytes());
+    h
+}
+
 /// Frames `payload` into the on-disk snapshot layout.
 pub fn frame_snapshot(covered: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(SNAP_MAGIC);
-    out.extend_from_slice(&covered.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let mut out = snapshot_header(covered, payload).to_vec();
     out.extend_from_slice(payload);
     out
 }
@@ -124,8 +130,10 @@ pub fn parse_snapshot(bytes: &[u8]) -> Result<(u64, &[u8]), SnapshotError> {
 }
 
 /// Writes a snapshot atomically: temp file, fsync, rename, directory
-/// fsync. On a [`FAULT_SERVE_SNAPSHOT_WRITE`] trip the final path gets
-/// a deliberately torn file instead (header plus half the payload) and
+/// fsync. The header and then the payload go out straight from the
+/// caller's buffer, so a cut never holds a second full-size copy. On a
+/// [`FAULT_SERVE_SNAPSHOT_WRITE`] trip the final path gets a
+/// deliberately torn file instead (header plus half the payload) and
 /// the write reports failure — the caller must then *skip* compaction,
 /// so the full WAL still carries every record the torn snapshot lost.
 ///
@@ -140,25 +148,29 @@ pub fn write_snapshot(
     faults: &ServeFaults,
 ) -> io::Result<()> {
     let reg = riot_trace::registry();
-    let bytes = frame_snapshot(covered, payload);
+    let header = snapshot_header(covered, payload);
     let final_path = snap_path(root, session);
     if faults.should_inject(FAULT_SERVE_SNAPSHOT_WRITE) {
         // A torn write straight over the final path: everything up to
         // half the payload made it, the rest did not.
-        let torn = &bytes[..HEADER_LEN + payload.len() / 2];
-        let _ = std::fs::write(&final_path, torn);
+        let _ = File::create(&final_path).and_then(|mut f| {
+            f.write_all(&header)?;
+            f.write_all(&payload[..payload.len() / 2])
+        });
         reg.counter("serve.snapshot.torn").inc();
         return Err(io::Error::other("fault injected at snapshot write"));
     }
     let tmp = root.join(format!("{session}.snap.tmp"));
     let mut f = File::create(&tmp)?;
-    f.write_all(&bytes)?;
+    f.write_all(&header)?;
+    f.write_all(payload)?;
     f.sync_data()?;
     drop(f);
     std::fs::rename(&tmp, &final_path)?;
     sync_dir(root);
     reg.counter("serve.snapshot.written").inc();
-    reg.counter("serve.snapshot.bytes").add(bytes.len() as u64);
+    reg.counter("serve.snapshot.bytes")
+        .add((HEADER_LEN + payload.len()) as u64);
     Ok(())
 }
 

@@ -11,9 +11,7 @@
 //!   model-equivalently.
 
 use riot_core::{Editor, Journal, FAULT_SERVE_CONN_BACKLOG, FAULT_SERVE_POLL_WAKEUP};
-use riot_serve::{
-    standard_library, wal_path, Bind, Client, IoModel, ServeConfig, Server, SessionEntry,
-};
+use riot_serve::{standard_library, wal_path, Bind, Client, ServeConfig, Server, SessionEntry};
 use std::time::Duration;
 
 fn temp_root(tag: &str) -> std::path::PathBuf {
@@ -26,7 +24,6 @@ fn poll_cfg(root: &std::path::Path) -> ServeConfig {
     let mut cfg = ServeConfig::new(root);
     cfg.threads = 1;
     cfg.tick = Duration::from_millis(2);
-    cfg.io_model = IoModel::Poll;
     cfg
 }
 

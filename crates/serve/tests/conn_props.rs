@@ -1,4 +1,4 @@
-//! Property tests for the poll io-model's per-connection state
+//! Property tests for the poll event loop's per-connection state
 //! machine: arbitrary interleavings of partial-frame ingestion, reply
 //! delivery lag and write-quantum stalls never panic, never surface a
 //! torn frame, keep every frame in order, and always terminate in a
@@ -6,12 +6,12 @@
 
 use proptest::prelude::*;
 use riot_serve::{
-    encode_frame, ConnEvent, Connection, ProtoVersion, Reply, ReplyBody, Request, RequestBody,
-    RequestRef, SRV_MAGIC_V2,
+    encode_frame, ConnEvent, Connection, Reply, ReplyBody, Request, RequestBody, RequestRef,
+    SRV_MAGIC_V2,
 };
 use std::collections::VecDeque;
 
-/// The wire a well-behaved v2 client would send: magic, then `n`
+/// The wire a well-behaved client would send: magic, then `n`
 /// framed ping requests with ids `0..n`.
 fn ping_wire(n: usize) -> Vec<u8> {
     let mut wire = SRV_MAGIC_V2.to_vec();
@@ -20,7 +20,7 @@ fn ping_wire(n: usize) -> Vec<u8> {
             id,
             body: RequestBody::Ping,
         };
-        wire.extend_from_slice(&encode_frame(&req.encode_v2(None)));
+        wire.extend_from_slice(&encode_frame(&req.encode(None)));
     }
     wire
 }
@@ -35,15 +35,11 @@ fn pump(
 ) -> Result<(), String> {
     while let Some(ev) = c.next_event() {
         match ev {
-            ConnEvent::Handshake(v) => {
-                if v != ProtoVersion::V2 {
-                    return Err(format!("wrong negotiated version {v:?}"));
-                }
-            }
+            ConnEvent::Handshake => {}
             ConnEvent::Frame { off, len } => {
                 let id = {
                     let payload = c.frame_payload(off, len);
-                    let (req, _) = RequestRef::decode_versioned(payload, ProtoVersion::V2)
+                    let (req, _) = RequestRef::decode(payload)
                         .map_err(|e| format!("torn frame surfaced: {e}"))?;
                     req.id
                 };
@@ -198,12 +194,12 @@ proptest! {
             off = end;
             while let Some(ev) = c.next_event() {
                 match ev {
-                    ConnEvent::Handshake(_) => {}
+                    ConnEvent::Handshake => {}
                     ConnEvent::Frame { off, len } => {
                         // May or may not decode — it must not panic,
                         // and in-place access must stay in bounds.
                         let payload = c.frame_payload(off, len);
-                        let _ = RequestRef::decode_versioned(payload, ProtoVersion::V2);
+                        let _ = RequestRef::decode(payload);
                         c.note_dispatched();
                         let _ = c.deliver_reply(&Reply {
                             id: 0,

@@ -1,16 +1,14 @@
-//! Connection-plane soak and conformance tests, run against **both**
-//! io models through one shared helper: a 256-connection herd mixing
-//! idle, pipelining and slow-reader clients with zero lost or
+//! Connection-plane soak and conformance tests: a 256-connection herd
+//! mixing idle, pipelining and slow-reader clients with zero lost or
 //! misordered replies; `busy` backpressure under a stuffed inbox;
 //! half-open connections evicted on the read timeout; and the poll
 //! loop's `serve.conns.open` gauge returning to zero after a drain.
 //!
-//! Each model's scenarios run sequentially inside a single `#[test]`
-//! because the gauges live in the process-global `riot_trace` registry
-//! — two concurrent poll loops would fight over them. The threads
-//! model never touches the poll gauges, so the two tests may overlap.
+//! The scenarios run sequentially inside a single `#[test]` because
+//! the gauges live in the process-global `riot_trace` registry — two
+//! concurrent poll loops would fight over them.
 
-use riot_serve::{Bind, Client, IoModel, Reply, ReplyBody, RequestBody, ServeConfig, Server};
+use riot_serve::{Bind, Client, Reply, ReplyBody, RequestBody, ServeConfig, Server};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
@@ -21,13 +19,12 @@ fn temp_root(tag: &str) -> std::path::PathBuf {
     root
 }
 
-fn soak_cfg(root: &std::path::Path, model: IoModel) -> ServeConfig {
+fn soak_cfg(root: &std::path::Path) -> ServeConfig {
     let mut cfg = ServeConfig::new(root);
     cfg.threads = 2;
     cfg.tick = Duration::from_millis(2);
     cfg.read_timeout = Duration::from_secs(10);
     cfg.write_timeout = Duration::from_secs(10);
-    cfg.io_model = model;
     cfg
 }
 
@@ -142,12 +139,12 @@ fn slow_reader(addr: &riot_serve::BoundAddr, n: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// The shared herd scenario: 256 concurrent connections — 168 idle, 40
-/// ping pipeliners, 32 command sessions, 16 slow readers — with every
-/// reply accounted for.
-fn herd(model: IoModel) {
-    let root = temp_root(&format!("herd-{}", model.as_str()));
-    let cfg = soak_cfg(&root, model);
+/// The herd scenario: 256 concurrent connections — 168 idle, 40 ping
+/// pipeliners, 32 command sessions, 16 slow readers — with every reply
+/// accounted for.
+fn herd() {
+    let root = temp_root("herd");
+    let cfg = soak_cfg(&root);
     let h = Server::start(cfg, &Bind::Tcp("127.0.0.1:0".into())).unwrap();
     let addr = h.addr();
 
@@ -155,13 +152,11 @@ fn herd(model: IoModel) {
     for i in 0..168 {
         idle.push(Client::connect(&addr).unwrap_or_else(|e| panic!("idle conn {i}: {e}")));
     }
-    if model == IoModel::Poll {
-        // One round trip so the loop has certainly seen the whole herd,
-        // then the open-connections gauge must cover it.
-        ping_pipeliner(&addr, 1, 1).unwrap();
-        let open = riot_trace::registry().gauge("serve.conns.open").get();
-        assert!(open >= 168, "serve.conns.open = {open} with 168 idle conns");
-    }
+    // One round trip so the loop has certainly seen the whole herd,
+    // then the open-connections gauge must cover it.
+    ping_pipeliner(&addr, 1, 1).unwrap();
+    let open = riot_trace::registry().gauge("serve.conns.open").get();
+    assert!(open >= 168, "serve.conns.open = {open} with 168 idle conns");
 
     let decode_in_place = riot_trace::registry().counter("serve.conn.decode.in_place");
     let decoded_before = decode_in_place.get();
@@ -173,7 +168,7 @@ fn herd(model: IoModel) {
         }
         for s in 0..32 {
             let addr = addr.clone();
-            let session = format!("soak-{}-{s}", model.as_str());
+            let session = format!("soak-{s}");
             handles.push(scope.spawn(move || cmd_driver(&addr, &session, 20)));
         }
         for _ in 0..16 {
@@ -184,7 +179,7 @@ fn herd(model: IoModel) {
             handle
                 .join()
                 .unwrap_or_else(|_| Err("worker panicked".into()))
-                .unwrap_or_else(|e| panic!("soak worker {k} ({}): {e}", model.as_str()));
+                .unwrap_or_else(|e| panic!("soak worker {k}: {e}"));
         }
     });
     assert!(
@@ -194,28 +189,26 @@ fn herd(model: IoModel) {
 
     drop(idle);
     h.shutdown();
-    if model == IoModel::Poll {
-        assert_eq!(
-            riot_trace::registry().gauge("serve.conns.open").get(),
-            0,
-            "serve.conns.open must return to 0 after the drain"
-        );
-        assert_eq!(
-            riot_trace::registry()
-                .gauge("serve.conn.backlog_bytes")
-                .get(),
-            0,
-            "serve.conn.backlog_bytes must return to 0 after the drain"
-        );
-    }
+    assert_eq!(
+        riot_trace::registry().gauge("serve.conns.open").get(),
+        0,
+        "serve.conns.open must return to 0 after the drain"
+    );
+    assert_eq!(
+        riot_trace::registry()
+            .gauge("serve.conn.backlog_bytes")
+            .get(),
+        0,
+        "serve.conn.backlog_bytes must return to 0 after the drain"
+    );
     let _ = std::fs::remove_dir_all(root);
 }
 
 /// A stuffed inbox must answer `busy`, not buffer unboundedly: stall
 /// the only worker, overfill its 2-deep queue, and count the refusals.
-fn busy_under_pressure(model: IoModel) {
-    let root = temp_root(&format!("busy-{}", model.as_str()));
-    let mut cfg = soak_cfg(&root, model);
+fn busy_under_pressure() {
+    let root = temp_root("busy");
+    let mut cfg = soak_cfg(&root);
     cfg.threads = 1;
     cfg.inbox_cap = 2;
     let h = Server::start(cfg, &Bind::Tcp("127.0.0.1:0".into())).unwrap();
@@ -261,9 +254,9 @@ fn busy_under_pressure(model: IoModel) {
 /// Half-open connections — handshaken then silent, or never
 /// handshaken at all — must be evicted on the read timeout, observed
 /// from the client side as EOF.
-fn half_open_eviction(model: IoModel) {
-    let root = temp_root(&format!("halfopen-{}", model.as_str()));
-    let mut cfg = soak_cfg(&root, model);
+fn half_open_eviction() {
+    let root = temp_root("halfopen");
+    let mut cfg = soak_cfg(&root);
     cfg.read_timeout = Duration::from_millis(200);
     cfg.write_timeout = Duration::from_millis(200);
     let h = Server::start(cfg, &Bind::Tcp("127.0.0.1:0".into())).unwrap();
@@ -302,11 +295,13 @@ fn half_open_eviction(model: IoModel) {
 }
 
 /// A stop request must cut through an idle herd without waiting out
-/// any tick: the wake pipe (poll) / `shutdown_read` (threads) turns
-/// 100 parked connections into an immediate drain.
-fn fast_shutdown(model: IoModel, bound: Duration) {
-    let root = temp_root(&format!("fastdown-{}", model.as_str()));
-    let cfg = soak_cfg(&root, model);
+/// any tick: the wake pipe turns 100 parked connections into an
+/// immediate drain — a couple of 2ms loop iterations, nowhere near any
+/// timeout.
+fn fast_shutdown() {
+    let bound = Duration::from_millis(10);
+    let root = temp_root("fastdown");
+    let cfg = soak_cfg(&root);
     let h = Server::start(cfg, &Bind::Tcp("127.0.0.1:0".into())).unwrap();
     let addr = h.addr();
     let mut herd = Vec::new();
@@ -322,28 +317,15 @@ fn fast_shutdown(model: IoModel, bound: Duration) {
     drop(herd);
     assert!(
         elapsed < bound,
-        "{} drain of 100 idle conns took {elapsed:?} (bound {bound:?})",
-        model.as_str()
+        "drain of 100 idle conns took {elapsed:?} (bound {bound:?})"
     );
     let _ = std::fs::remove_dir_all(root);
 }
 
 #[test]
 fn poll_model_soaks_clean() {
-    herd(IoModel::Poll);
-    busy_under_pressure(IoModel::Poll);
-    half_open_eviction(IoModel::Poll);
-    // The wake pipe makes the drain latency a couple of 2ms loop
-    // iterations, nowhere near any timeout.
-    fast_shutdown(IoModel::Poll, Duration::from_millis(10));
-}
-
-#[test]
-fn threads_model_soaks_clean() {
-    herd(IoModel::Threads);
-    busy_under_pressure(IoModel::Threads);
-    half_open_eviction(IoModel::Threads);
-    // `shutdown_read` unblocks every parked reader instantly; the
-    // bound is looser only because 200 OS threads must unwind.
-    fast_shutdown(IoModel::Threads, Duration::from_millis(500));
+    herd();
+    busy_under_pressure();
+    half_open_eviction();
+    fast_shutdown();
 }

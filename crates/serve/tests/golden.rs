@@ -1,4 +1,4 @@
-//! Golden-fixture test for the `RIOTSRV1` wire format.
+//! Golden-fixture test for the `RIOTSRV2` wire format.
 //!
 //! `examples/handshake.srv` is a checked-in byte capture of one
 //! complete client session: the 8-byte magic followed by seven framed
@@ -7,8 +7,8 @@
 //! decoding — and that is a protocol break, not a refactor.
 
 use riot_serve::{
-    scan_frame, Bind, FrameScan, Reply, ReplyBody, Request, RequestBody, ServeConfig, Server,
-    Stream, SRV_MAGIC,
+    scan_frame_ref, Bind, FrameScanRef, Reply, ReplyBody, Request, RequestBody, RequestRef,
+    ServeConfig, Server, Stream, SRV_MAGIC_V2,
 };
 use std::io::{Read, Write};
 
@@ -68,13 +68,15 @@ fn expected_requests() -> Vec<Request> {
 /// The fixture decodes to exactly the expected request sequence.
 #[test]
 fn fixture_decodes_to_the_canonical_session() {
-    assert_eq!(&FIXTURE[..8], SRV_MAGIC, "fixture starts with the magic");
+    assert_eq!(&FIXTURE[..8], SRV_MAGIC_V2, "fixture starts with the magic");
     let mut rest = &FIXTURE[8..];
     let mut decoded = Vec::new();
     while !rest.is_empty() {
-        match scan_frame(rest) {
-            FrameScan::Complete { payload, consumed } => {
-                decoded.push(Request::decode(&payload).expect("fixture frame decodes"));
+        match scan_frame_ref(rest) {
+            FrameScanRef::Complete { payload, consumed } => {
+                let (req, trace) = RequestRef::decode(payload).expect("fixture frame decodes");
+                assert_eq!(trace, None, "fixture requests carry no trace context");
+                decoded.push(req.to_owned());
                 rest = &rest[consumed..];
             }
             other => panic!("fixture has a non-frame region: {other:?}"),
@@ -87,9 +89,9 @@ fn fixture_decodes_to_the_canonical_session() {
 /// byte** — the codec is deterministic and stable.
 #[test]
 fn fixture_re_encodes_byte_identically() {
-    let mut rebuilt = SRV_MAGIC.to_vec();
+    let mut rebuilt = SRV_MAGIC_V2.to_vec();
     for req in expected_requests() {
-        rebuilt.extend_from_slice(&riot_serve::encode_frame(&req.encode()));
+        rebuilt.extend_from_slice(&riot_serve::encode_frame(&req.encode(None)));
     }
     assert_eq!(
         rebuilt, FIXTURE,
@@ -112,7 +114,7 @@ fn fixture_replays_against_a_live_server() {
     s.write_all(FIXTURE).unwrap();
     let mut echo = [0u8; 8];
     s.read_exact(&mut echo).unwrap();
-    assert_eq!(&echo, SRV_MAGIC);
+    assert_eq!(&echo, SRV_MAGIC_V2);
     // Collect replies until the server half-closes after the drain.
     let mut bytes = Vec::new();
     let mut tmp = [0u8; 1024];
@@ -125,9 +127,9 @@ fn fixture_replays_against_a_live_server() {
     let mut replies = Vec::new();
     let mut rest = &bytes[..];
     while !rest.is_empty() {
-        match scan_frame(rest) {
-            FrameScan::Complete { payload, consumed } => {
-                replies.push(Reply::decode(&payload).expect("reply decodes"));
+        match scan_frame_ref(rest) {
+            FrameScanRef::Complete { payload, consumed } => {
+                replies.push(Reply::decode(payload).expect("reply decodes"));
                 rest = &rest[consumed..];
             }
             other => panic!("server wrote a non-frame region: {other:?}"),

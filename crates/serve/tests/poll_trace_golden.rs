@@ -10,8 +10,8 @@
 
 use riot_serve::conn::to_hex;
 use riot_serve::{
-    encode_frame, ConnEvent, Connection, ProtoVersion, Reply, ReplyBody, Request, RequestBody,
-    RequestBodyRef, RequestRef, TraceEvent, SRV_MAGIC_V2,
+    encode_frame, ConnEvent, Connection, Reply, ReplyBody, Request, RequestBody, RequestBodyRef,
+    RequestRef, TraceEvent, SRV_MAGIC_V2,
 };
 use std::path::PathBuf;
 
@@ -80,8 +80,7 @@ fn step(c: &mut Connection, ev: &mut Vec<TraceEvent>, chunks: &[&[u8]], reply: &
                 panic!("fixture script expected a frame, got {event:?}");
             };
             let payload = c.frame_payload(off, len);
-            let (req, _) =
-                RequestRef::decode_versioned(payload, ProtoVersion::V2).expect("fixture decodes");
+            let (req, _) = RequestRef::decode(payload).expect("fixture decodes");
             ev.push(TraceEvent::Frame {
                 conn: CONN,
                 id: req.id,
@@ -124,7 +123,7 @@ fn replayed_trace() -> Vec<TraceEvent> {
         hex: to_hex(SRV_MAGIC_V2),
     });
     c.ingest(SRV_MAGIC_V2);
-    assert_eq!(c.next_event(), Some(ConnEvent::Handshake(ProtoVersion::V2)));
+    assert_eq!(c.next_event(), Some(ConnEvent::Handshake));
     ev.push(TraceEvent::Handshake {
         conn: CONN,
         version: 2,
@@ -139,7 +138,7 @@ fn replayed_trace() -> Vec<TraceEvent> {
             cell: "TOP".into(),
         },
     };
-    let frame = encode_frame(&open.encode_v2(None));
+    let frame = encode_frame(&open.encode(None));
     step(
         &mut c,
         &mut ev,
@@ -159,7 +158,7 @@ fn replayed_trace() -> Vec<TraceEvent> {
             line: "create nand2 A".into(),
         },
     };
-    let frame = encode_frame(&cmd.encode_v2(None));
+    let frame = encode_frame(&cmd.encode(None));
     let (head, tail) = frame.split_at(13);
     step(
         &mut c,
@@ -176,7 +175,7 @@ fn replayed_trace() -> Vec<TraceEvent> {
         id: 3,
         body: RequestBody::Ping,
     };
-    let frame = encode_frame(&ping.encode_v2(None));
+    let frame = encode_frame(&ping.encode(None));
     step(
         &mut c,
         &mut ev,

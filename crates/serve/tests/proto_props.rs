@@ -1,12 +1,13 @@
-//! Property tests for the `RIOTSRV1` frame and message codecs: every
+//! Property tests for the `RIOTSRV2` frame and message codecs: every
 //! payload round-trips, every torn tail and every bit flip decodes to
 //! a clean [`FrameCorruption`] — never a panic, never silent garbage.
 
 use proptest::prelude::*;
 use riot_serve::{
-    decode_frame_eof, encode_frame, scan_frame, valid_session_name, FrameCorruption, FrameScan,
-    Reply, ReplyBody, Request, RequestBody,
+    decode_frame_eof, encode_frame, scan_frame_ref, valid_session_name, FrameCorruption,
+    FrameScanRef, Reply, ReplyBody, Request, RequestBody, RequestRef,
 };
+use riot_trace::TraceContext;
 
 /// Arbitrary binary payload (up to 200 bytes, full byte range).
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
@@ -56,7 +57,7 @@ proptest! {
         }
         // The streaming scanner must agree that more bytes are needed
         // (it cannot know the stream ended).
-        prop_assert_eq!(scan_frame(torn), FrameScan::Incomplete);
+        prop_assert_eq!(scan_frame_ref(torn), FrameScanRef::Incomplete);
     }
 
     #[test]
@@ -85,9 +86,9 @@ proptest! {
         }
         let mut off = 0usize;
         for expected in &payloads {
-            match scan_frame(&wire[off..]) {
-                FrameScan::Complete { payload, consumed } => {
-                    prop_assert_eq!(&payload, expected);
+            match scan_frame_ref(&wire[off..]) {
+                FrameScanRef::Complete { payload, consumed } => {
+                    prop_assert_eq!(payload, &expected[..]);
                     off += consumed;
                 }
                 other => prop_assert!(false, "wanted a frame, got {other:?}"),
@@ -101,7 +102,10 @@ proptest! {
         id in 0u64..u64::MAX,
         session in "[A-Za-z0-9_-]{1,64}",
         line in arb_line(),
+        traced in prop::bool::ANY,
+        trace_id in 1u64..u64::MAX,
     ) {
+        let trace = traced.then(|| TraceContext::new(trace_id, 1));
         prop_assert!(valid_session_name(&session));
         for body in [
             RequestBody::Open { session: session.clone(), cell: "TOP".to_owned() },
@@ -113,8 +117,10 @@ proptest! {
             RequestBody::Shutdown,
         ] {
             let req = Request { id, body };
-            let bytes = req.encode();
-            prop_assert_eq!(Request::decode(&bytes).expect("round trip"), req);
+            let bytes = req.encode(trace);
+            let (back, ctx) = RequestRef::decode(&bytes).expect("round trip");
+            prop_assert_eq!(back.to_owned(), req);
+            prop_assert_eq!(ctx, trace);
         }
     }
 
@@ -133,9 +139,9 @@ proptest! {
 
     #[test]
     fn request_decode_never_panics_on_garbage(bytes in arb_payload()) {
-        let _ = Request::decode(&bytes);
+        let _ = RequestRef::decode(&bytes);
         let _ = Reply::decode(&bytes);
         let _ = decode_frame_eof(&bytes);
-        let _ = scan_frame(&bytes);
+        let _ = scan_frame_ref(&bytes);
     }
 }

@@ -1,11 +1,8 @@
 //! Telemetry-plane integration tests: wire-propagated trace context
 //! decomposing into server-side child spans, the HTTP scrape endpoint,
-//! the `telemetry`/`dump` wire verbs, percentile stats lines, and v1
-//! client compatibility.
+//! the `telemetry`/`dump` wire verbs, and percentile stats lines.
 
-use riot_serve::{
-    Bind, Client, FlightRecorder, ProtoVersion, ServeConfig, Server, TelemetryFormat,
-};
+use riot_serve::{Bind, Client, FlightRecorder, ServeConfig, Server, TelemetryFormat};
 use riot_trace::{fresh_trace_id, Snapshot, TraceContext};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -31,7 +28,6 @@ fn traced_cmd_decomposes_into_server_side_child_spans() {
     let h = Server::start(cfg, &Bind::Tcp("127.0.0.1:0".into())).unwrap();
 
     let mut c = Client::connect(&h.addr()).unwrap();
-    assert_eq!(c.version(), ProtoVersion::V2, "fresh client negotiates v2");
     c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     c.open("traced", "TOP").unwrap();
 
@@ -191,28 +187,6 @@ fn telemetry_and_dump_wire_verbs_answer_inline() {
         "no percentile lines in stats: {stats}"
     );
 
-    c.shutdown_server().unwrap();
-    h.wait();
-    let _ = std::fs::remove_dir_all(root);
-}
-
-/// A strict `RIOTSRV1` client keeps working against the revised
-/// server: same verbs, same replies, no trace bytes on the wire.
-#[test]
-fn v1_clients_are_unaffected_by_the_protocol_revision() {
-    let root = temp_root("v1compat");
-    let cfg = ServeConfig::new(&root);
-    let h = Server::start(cfg, &Bind::Tcp("127.0.0.1:0".into())).unwrap();
-    let mut c = Client::connect_v1(&h.addr()).unwrap();
-    assert_eq!(c.version(), ProtoVersion::V1);
-    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    assert_eq!(c.open("old", "TOP").unwrap(), "created");
-    assert_eq!(c.cmd("old", "create nand2 A").unwrap(), "instance 0");
-    // Traced sends silently drop the context on a v1 connection.
-    let id = c
-        .cmd_traced("old", "create nand2 B", TraceContext::new(99, 1))
-        .unwrap();
-    assert_eq!(c.recv().unwrap().id, id);
     c.shutdown_server().unwrap();
     h.wait();
     let _ = std::fs::remove_dir_all(root);
