@@ -1,11 +1,20 @@
 //! Shared workload generators for the benchmarks and the `figures`
-//! regeneration binary.
+//! regeneration binary, and the suites behind the `riot-bench` binary:
+//! [`spatial`], [`incremental`], [`route`], [`profile`] and [`serve`],
+//! each writing one `riot-bench/2` report through [`harness`].
 //!
 //! Workloads are deterministic (seeded [`rand::rngs::StdRng`]) so bench
 //! runs and EXPERIMENTS.md numbers are reproducible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod harness;
+pub mod incremental;
+pub mod profile;
+pub mod route;
+pub mod serve;
+pub mod spatial;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

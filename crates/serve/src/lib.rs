@@ -14,9 +14,8 @@
 //! * [`conn`] — the pure per-connection state machine behind the poll
 //!   event loop (zero-copy scan buffer, bounded write backlog)
 //! * [`server`] — the readiness-driven event loop, accept, drain
-//! * [`client`] — a small blocking client used by the bench, the CLI
-//!   and the tests
-//! * [`bench`] — the load generator behind `riot-serve bench`
+//! * [`client`] — a small blocking client used by the CLI, the tests
+//!   and `riot-bench serve`
 //! * [`fault`] — request-path fault injection
 //! * [`flightrec`] — the always-on bounded ring of recent events,
 //!   dumped on panic, crash or the `dump` verb
@@ -28,7 +27,6 @@
 //! crash (recovery truncates at the first torn record and replays the
 //! intact prefix).
 
-pub mod bench;
 pub mod client;
 pub mod config;
 pub mod conn;
@@ -42,10 +40,6 @@ pub mod session;
 pub mod snapshot;
 pub mod telemetry;
 
-pub use bench::{
-    run_bench, run_conn_point, run_conn_scaling, run_recovery_bench, run_suite, BenchConfig,
-    BenchReport, BenchSuite, ConnScalePoint, RecoveryPoint,
-};
 pub use client::Client;
 pub use config::{resolve_threads, standard_library, LibraryFactory, ServeConfig};
 pub use conn::{ConnEvent, ConnState, Connection, QueueOutcome, TraceEvent};

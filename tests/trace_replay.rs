@@ -1,12 +1,12 @@
 //! Trace/replay integration: replaying a journal with `riot-trace`
 //! enabled produces at least one recorded span per journaled command
-//! kind — the invariant the `riot-profile` tool depends on.
+//! kind — the invariant the `riot-bench profile` suite depends on.
 
 use riot::core::{replay, AbutOptions, Editor, Journal, Library, RouteOptions, StretchOptions};
 use riot::geom::{Point, LAMBDA};
 use std::collections::BTreeSet;
 
-/// A two-output driver leaf (same shape as the `riot-profile` fixture).
+/// A two-output driver leaf (same shape as the `riot-bench profile` fixture).
 const DRIVER: &str = "\
 sticks driver
 bbox 0 0 10 20
