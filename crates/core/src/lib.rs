@@ -59,6 +59,7 @@ pub mod library;
 pub mod measure;
 pub mod netlist;
 pub mod persist;
+pub mod record;
 pub mod replay;
 pub mod routeplan;
 mod txn;
@@ -79,7 +80,8 @@ pub use instance::{Instance, InstanceId};
 pub use library::Library;
 pub use netlist::{ConnectionLedger, ConnectionViolation, MaintainedConnection};
 pub use persist::{decode_session, encode_session, PersistError};
+pub use record::{crc32, RecordCorruption};
 pub use replay::{
-    command_to_line, crc32, parse_command_line, replay, Journal, ReplayCommand, WalCorruption,
-    WalRecovery, WAL_MAGIC,
+    command_to_line, encode_wal_record, parse_command_line, replay, Journal, ReplayCommand,
+    WalCorruption, WalRecovery, WAL_MAGIC,
 };

@@ -18,19 +18,19 @@
 //! Besides the human-readable text form, a journal serializes to a
 //! binary **write-ahead log** ([`Journal::to_wal`]) built for recovery
 //! after an abnormal termination: an 8-byte magic (`RIOTWAL1`) followed
-//! by one record per command, each `u32` little-endian payload length,
-//! `u32` little-endian CRC-32 (IEEE, zlib-compatible) of the payload,
-//! then the payload — the same single-line text the replay file uses.
-//! [`Journal::recover_wal`] reads as many intact records as it can and
-//! **truncates at the first corrupt one** (torn header, short payload,
-//! checksum or parse mismatch), returning the recovered prefix plus a
-//! description of what stopped it — the `riot-check` harness proves the
+//! by one [`crate::record`] per command, whose payload is the same
+//! single-line text the replay file uses. [`Journal::recover_wal`]
+//! reads as many intact records as it can and **truncates at the first
+//! corrupt one** (torn header, short payload, checksum or parse
+//! mismatch), returning the recovered prefix, where each kept record
+//! ends, and what stopped it — the `riot-check` harness proves the
 //! prefix always replays to a state the reference model explains.
 
 use crate::command::Command;
 use crate::editor::Editor;
 use crate::error::RiotError;
 use crate::library::Library;
+use crate::record::{self, RecordCorruption};
 use riot_geom::Point;
 use riot_rest::SolveMode;
 use riot_route::RouterOptions;
@@ -351,44 +351,12 @@ pub fn parse_command_line(line: &str, n: usize) -> Result<Command, RiotError> {
 /// Magic header opening a write-ahead journal file.
 pub const WAL_MAGIC: &[u8; 8] = b"RIOTWAL1";
 
-/// CRC-32 of `data`: the IEEE 802.3 reflected polynomial with the
-/// standard init/final inversion — bit-for-bit the checksum zlib (and
-/// Python's `zlib.crc32`) computes, so fixtures can be cross-checked
-/// with any stock implementation.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// Why [`Journal::recover_wal`] stopped reading.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalCorruption {
-    /// The file does not begin with the `RIOTWAL1` magic.
-    BadMagic,
-    /// Fewer than 8 header bytes remained — a torn header write.
-    TornHeader,
-    /// The header promises more payload than the file holds — a torn
-    /// (short) payload write.
-    TornPayload {
-        /// Bytes the header claims.
-        expected: usize,
-        /// Bytes actually left in the file.
-        available: usize,
-    },
-    /// The stored checksum disagrees with the payload.
-    BadChecksum {
-        /// Checksum in the record header.
-        stored: u32,
-        /// Checksum of the bytes on disk.
-        computed: u32,
-    },
+    /// The file or a record is damaged: bad magic, torn header or
+    /// payload, or a checksum mismatch.
+    Record(RecordCorruption),
     /// The payload is not UTF-8 or not a valid command line.
     BadPayload(String),
 }
@@ -396,21 +364,7 @@ pub enum WalCorruption {
 impl fmt::Display for WalCorruption {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WalCorruption::BadMagic => f.write_str("missing RIOTWAL1 magic"),
-            WalCorruption::TornHeader => f.write_str("torn record header"),
-            WalCorruption::TornPayload {
-                expected,
-                available,
-            } => write!(
-                f,
-                "torn payload: {expected} bytes promised, {available} present"
-            ),
-            WalCorruption::BadChecksum { stored, computed } => {
-                write!(
-                    f,
-                    "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-                )
-            }
+            WalCorruption::Record(c) => write!(f, "{c}"),
             WalCorruption::BadPayload(msg) => write!(f, "bad payload: {msg}"),
         }
     }
@@ -422,6 +376,10 @@ impl fmt::Display for WalCorruption {
 pub struct WalRecovery {
     /// The recovered prefix, ready for [`replay`].
     pub journal: Journal,
+    /// The byte offset where each recovered record ends, one per
+    /// command in `journal` — the cut point for keeping a shorter
+    /// prefix.
+    pub record_ends: Vec<usize>,
     /// Byte offset the scan stopped at — the truncation point. Equals
     /// the file length for an intact file.
     pub valid_len: usize,
@@ -436,19 +394,25 @@ impl WalRecovery {
     }
 }
 
+/// Appends one write-ahead record for `cmd` to `out`: its replay line,
+/// framed by the shared [`crate::record`] codec.
+///
+/// # Panics
+///
+/// If the replay line exceeds the record's 4 GiB length field.
+pub fn encode_wal_record(out: &mut Vec<u8>, cmd: &Command) {
+    record::encode(out, command_to_line(cmd).as_bytes())
+        .expect("a replay line fits a record's u32 length");
+}
+
 impl Journal {
     /// Serializes to the crash-safe write-ahead format: the magic, then
-    /// per command a `u32` LE payload length, `u32` LE CRC-32, and the
-    /// command's replay line as the payload.
+    /// one record per command ([`encode_wal_record`]).
     pub fn to_wal(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(WAL_MAGIC.len() + self.commands.len() * 24);
         out.extend_from_slice(WAL_MAGIC);
         for cmd in &self.commands {
-            let line = command_to_line(cmd);
-            let payload = line.as_bytes();
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-            out.extend_from_slice(payload);
+            encode_wal_record(&mut out, cmd);
         }
         out
     }
@@ -458,69 +422,50 @@ impl Journal {
     /// input yields an empty journal plus the corruption description.
     /// Bumps the `journal.recovered` / `journal.truncated` metrics.
     pub fn recover_wal(bytes: &[u8]) -> WalRecovery {
+        let mut rec = WalRecovery {
+            journal: Journal::new(),
+            record_ends: Vec::new(),
+            valid_len: 0,
+            corruption: None,
+        };
+        match bytes.strip_prefix(WAL_MAGIC) {
+            None => rec.corruption = Some(WalCorruption::Record(RecordCorruption::BadMagic)),
+            Some(mut rest) => {
+                rec.valid_len = WAL_MAGIC.len();
+                while !rest.is_empty() {
+                    let (payload, consumed) = match record::scan_eof(rest, None) {
+                        Ok(found) => found,
+                        Err(c) => {
+                            rec.corruption = Some(WalCorruption::Record(c));
+                            break;
+                        }
+                    };
+                    let cmd = std::str::from_utf8(payload)
+                        .map_err(|e| e.to_string())
+                        .and_then(|line| {
+                            parse_command_line(line.trim(), rec.record_ends.len())
+                                .map_err(|e| e.to_string())
+                        });
+                    match cmd {
+                        Ok(cmd) => rec.journal.record(cmd),
+                        Err(msg) => {
+                            rec.corruption = Some(WalCorruption::BadPayload(msg));
+                            break;
+                        }
+                    }
+                    rest = &rest[consumed..];
+                    rec.valid_len += consumed;
+                    rec.record_ends.push(rec.valid_len);
+                }
+            }
+        }
         let reg = riot_trace::registry();
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-            reg.counter("journal.truncated").inc();
-            // Touch the counter so a traced summary always lists it.
-            reg.counter("journal.recovered").add(0);
-            return WalRecovery {
-                journal: Journal::new(),
-                valid_len: 0,
-                corruption: Some(WalCorruption::BadMagic),
-            };
-        }
-        let mut journal = Journal::new();
-        let mut off = WAL_MAGIC.len();
-        let mut corruption = None;
-        let mut record_no = 0usize;
-        while off < bytes.len() {
-            if bytes.len() - off < 8 {
-                corruption = Some(WalCorruption::TornHeader);
-                break;
-            }
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-            let stored = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
-            let start = off + 8;
-            if bytes.len() - start < len {
-                corruption = Some(WalCorruption::TornPayload {
-                    expected: len,
-                    available: bytes.len() - start,
-                });
-                break;
-            }
-            let payload = &bytes[start..start + len];
-            let computed = crc32(payload);
-            if computed != stored {
-                corruption = Some(WalCorruption::BadChecksum { stored, computed });
-                break;
-            }
-            let line = match std::str::from_utf8(payload) {
-                Ok(s) => s,
-                Err(e) => {
-                    corruption = Some(WalCorruption::BadPayload(e.to_string()));
-                    break;
-                }
-            };
-            match parse_command_line(line.trim(), record_no) {
-                Ok(cmd) => journal.record(cmd),
-                Err(e) => {
-                    corruption = Some(WalCorruption::BadPayload(e.to_string()));
-                    break;
-                }
-            }
-            off = start + len;
-            record_no += 1;
-        }
         reg.counter("journal.recovered")
-            .add(journal.commands.len() as u64);
-        if corruption.is_some() {
+            .add(rec.journal.commands.len() as u64);
+        if rec.corruption.is_some() {
             reg.counter("journal.truncated").inc();
         }
-        WalRecovery {
-            journal,
-            valid_len: off,
-            corruption,
-        }
+        rec
     }
 }
 
@@ -685,10 +630,10 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        // The canonical check value of CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"riot"), {
+        // The WAL checksum is the canonical CRC-32/ISO-HDLC.
+        assert_eq!(record::crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(record::crc32(b""), 0);
+        assert_eq!(record::crc32(b"riot"), {
             // Independent bit-reversed computation to guard the table.
             let mut crc = 0xFFFF_FFFF_u32;
             for &b in b"riot" {
@@ -713,6 +658,8 @@ mod tests {
         let rec = Journal::recover_wal(&bytes);
         assert!(rec.is_clean());
         assert_eq!(rec.valid_len, bytes.len());
+        assert_eq!(rec.record_ends.len(), j.commands().len());
+        assert_eq!(rec.record_ends.last(), Some(&bytes.len()));
         assert_eq!(rec.journal, j);
     }
 
@@ -725,7 +672,7 @@ mod tests {
         let rec = Journal::recover_wal(torn);
         assert!(matches!(
             rec.corruption,
-            Some(WalCorruption::TornPayload { .. })
+            Some(WalCorruption::Record(RecordCorruption::TornPayload { .. }))
         ));
         let n = j.commands().len();
         assert_eq!(rec.journal.commands(), &j.commands()[..n - 1]);
@@ -744,7 +691,10 @@ mod tests {
         // Append 5 stray bytes: a header needs 8.
         bytes.extend_from_slice(&[1, 2, 3, 4, 5]);
         let rec = Journal::recover_wal(&bytes);
-        assert_eq!(rec.corruption, Some(WalCorruption::TornHeader));
+        assert_eq!(
+            rec.corruption,
+            Some(WalCorruption::Record(RecordCorruption::TornHeader))
+        );
         assert_eq!(&rec.journal, &j);
     }
 
@@ -759,7 +709,7 @@ mod tests {
         let rec = Journal::recover_wal(&bytes);
         assert!(matches!(
             rec.corruption,
-            Some(WalCorruption::BadChecksum { .. })
+            Some(WalCorruption::Record(RecordCorruption::BadChecksum { .. }))
         ));
         assert_eq!(rec.journal.commands(), &j.commands()[..1]);
         assert_eq!(rec.valid_len, 8 + 8 + b"edit TOP".len());
@@ -768,11 +718,12 @@ mod tests {
     #[test]
     fn wal_recovery_rejects_bad_magic() {
         let rec = Journal::recover_wal(b"NOTAWAL0\x01\x02");
-        assert_eq!(rec.corruption, Some(WalCorruption::BadMagic));
+        let bad_magic = Some(WalCorruption::Record(RecordCorruption::BadMagic));
+        assert_eq!(rec.corruption, bad_magic);
         assert_eq!(rec.valid_len, 0);
         assert!(rec.journal.commands().is_empty());
         let rec = Journal::recover_wal(b"");
-        assert_eq!(rec.corruption, Some(WalCorruption::BadMagic));
+        assert_eq!(rec.corruption, bad_magic);
     }
 
     #[test]
@@ -780,10 +731,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(WAL_MAGIC);
         for line in ["edit TOP", "frobnicate I0"] {
-            let p = line.as_bytes();
-            bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(p).to_le_bytes());
-            bytes.extend_from_slice(p);
+            record::encode(&mut bytes, line.as_bytes()).unwrap();
         }
         let rec = Journal::recover_wal(&bytes);
         assert!(matches!(rec.corruption, Some(WalCorruption::BadPayload(_))));

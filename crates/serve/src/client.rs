@@ -15,23 +15,28 @@
 
 use crate::net::{BoundAddr, Stream};
 use crate::proto::{
-    handshake_client, read_frame_into, write_frame, ProtoError, Reply, ReplyBody, Request,
-    RequestBody, TelemetryFormat,
+    handshake_client, ProtoError, Reply, ReplyBody, Request, RequestBody, TelemetryFormat,
+    MAX_FRAME_PAYLOAD,
 };
+use riot_core::record::{self, Scan};
 use riot_trace::TraceContext;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::Path;
 use std::time::Duration;
+
+/// Bytes [`Client::recv`] asks the socket for at a time.
+const READ_CHUNK: usize = 4096;
 
 /// One connection to a riot-serve server.
 #[derive(Debug)]
 pub struct Client {
     stream: Stream,
     next_id: u64,
-    /// Reply-payload scratch, reused across [`Client::recv`] calls so
-    /// a pipelining client decodes replies without per-frame
+    /// Received bytes not yet returned as replies: frames are scanned
+    /// in place, and the buffer is reused across [`Client::recv`] calls
+    /// so a pipelining client decodes replies without per-frame
     /// allocation.
-    scratch: Vec<u8>,
+    buf: Vec<u8>,
 }
 
 impl Client {
@@ -68,7 +73,7 @@ impl Client {
         Ok(Client {
             stream,
             next_id: 1,
-            scratch: Vec::new(),
+            buf: Vec::new(),
         })
     }
 
@@ -100,20 +105,50 @@ impl Client {
     pub fn send_traced(&mut self, body: RequestBody, ctx: TraceContext) -> Result<u64, ProtoError> {
         let id = self.next_id;
         self.next_id += 1;
+        let mut frame = Vec::new();
         let req = Request { id, body };
-        write_frame(&mut self.stream, &req.encode(Some(ctx)))?;
+        record::encode(&mut frame, &req.encode(Some(ctx))).map_err(ProtoError::Corrupt)?;
+        self.stream.write_all(&frame)?;
         self.stream.flush()?;
         Ok(id)
     }
 
-    /// Receives the next reply.
+    /// Receives the next reply, reading the socket until a whole frame
+    /// is buffered.
     ///
     /// # Errors
     ///
-    /// Socket/framing failures or malformed reply payloads.
+    /// [`ProtoError::Closed`] when the server closes between frames; a
+    /// close mid-frame is a torn frame; socket failures, corrupt frames
+    /// or malformed reply payloads.
     pub fn recv(&mut self) -> Result<Reply, ProtoError> {
-        read_frame_into(&mut self.stream, &mut self.scratch)?;
-        Reply::decode(&self.scratch).map_err(ProtoError::BadPayload)
+        loop {
+            match record::scan(&self.buf, Some(MAX_FRAME_PAYLOAD)) {
+                Scan::Complete { payload, consumed } => {
+                    let reply = Reply::decode(payload).map_err(ProtoError::BadPayload);
+                    self.buf.drain(..consumed);
+                    return reply;
+                }
+                Scan::Corrupt(c) => return Err(ProtoError::Corrupt(c)),
+                Scan::Incomplete => self.fill()?,
+            }
+        }
+    }
+
+    /// Reads more bytes onto the end of the receive buffer.
+    fn fill(&mut self) -> Result<(), ProtoError> {
+        let have = self.buf.len();
+        self.buf.resize(have + READ_CHUNK, 0);
+        let read = self.stream.read(&mut self.buf[have..]);
+        self.buf.truncate(have + read.as_ref().map_or(0, |n| *n));
+        match read? {
+            0 if have == 0 => Err(ProtoError::Closed),
+            // Part of a frame is buffered and no more is coming.
+            0 => Err(record::scan_eof(&self.buf, Some(MAX_FRAME_PAYLOAD))
+                .err()
+                .map_or(ProtoError::Closed, ProtoError::Corrupt)),
+            _ => Ok(()),
+        }
     }
 
     /// Sends one request and blocks for its reply, checking the echoed
@@ -266,5 +301,43 @@ impl Client {
     /// The server's error message.
     pub fn shutdown_server(&mut self) -> Result<String, String> {
         self.call(RequestBody::Shutdown)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use riot_core::RecordCorruption;
+    use std::os::unix::net::UnixStream;
+
+    #[test]
+    fn recv_scans_pipelined_replies_from_one_buffer() {
+        // The other end of the pair stands in for the server.
+        let (ours, mut server) = UnixStream::pair().unwrap();
+        let mut c = Client {
+            stream: Stream::Unix(ours),
+            next_id: 1,
+            buf: Vec::new(),
+        };
+        let mut wire = Vec::new();
+        for (id, detail) in [(1, "a long first detail"), (2, "short"), (3, "torn")] {
+            let body = ReplyBody::Ok(detail.to_owned());
+            record::encode(&mut wire, &Reply { id, body }.encode()).unwrap();
+        }
+        // One write carries all three replies, the last one torn.
+        server.write_all(&wire[..wire.len() - 1]).unwrap();
+        drop(server);
+        assert_eq!(c.recv().unwrap().id, 1);
+        assert_eq!(c.recv().unwrap().id, 2);
+        assert!(matches!(
+            c.recv(),
+            Err(ProtoError::Corrupt(RecordCorruption::TornPayload { expected, available }))
+                if available + 1 == expected
+        ));
+        c.buf.clear();
+        assert!(
+            matches!(c.recv(), Err(ProtoError::Closed)),
+            "nothing buffered"
+        );
     }
 }

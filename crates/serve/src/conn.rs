@@ -36,9 +36,10 @@
 //! their own bound (`busy` replies) — the two backpressure layers
 //! compose, they do not replace each other.
 
-use crate::proto::{
-    encode_frame, scan_frame_ref, FrameCorruption, FrameScanRef, Reply, SRV_MAGIC_V2,
-};
+use crate::proto::{Reply, MAX_FRAME_PAYLOAD, SRV_MAGIC_V2};
+use riot_core::record::{self, RecordCorruption, Scan};
+use riot_trace::export::escape_json;
+use riot_trace::json::Value;
 
 /// Where a connection is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +77,7 @@ pub enum ConnEvent {
     },
     /// The buffer head is not a valid frame; the connection is
     /// draining (the owner may queue one final error reply first).
-    Corrupt(FrameCorruption),
+    Corrupt(RecordCorruption),
 }
 
 /// Did a reply fit the bounded backlog?
@@ -205,16 +206,16 @@ impl Connection {
             // reader cannot keep minting replies.
             ConnState::Backlogged => None,
             ConnState::Reading => {
-                match scan_frame_ref(&self.buf[self.start..]) {
-                    FrameScanRef::Complete { consumed, payload } => {
+                match record::scan(&self.buf[self.start..], Some(MAX_FRAME_PAYLOAD)) {
+                    Scan::Complete { consumed, payload } => {
                         let len = payload.len();
-                        let off = self.start + 8;
+                        let off = self.start + record::HEADER_LEN;
                         self.start += consumed;
                         self.frames_in_place += 1;
                         Some(ConnEvent::Frame { off, len })
                     }
-                    FrameScanRef::Incomplete => None,
-                    FrameScanRef::Corrupt(c) => {
+                    Scan::Incomplete => None,
+                    Scan::Corrupt(c) => {
                         // Draining, not closed: the owner gets to queue
                         // one final error reply, and the close happens
                         // when the backlog flushes.
@@ -247,14 +248,16 @@ impl Connection {
     }
 
     /// Encodes `reply` onto the bounded write backlog. Crossing
-    /// `backlog_max` evicts the connection ([`QueueOutcome::Overflow`]);
-    /// crossing a quarter of it pauses reads until the peer drains.
+    /// `backlog_max` — or a reply too large for a frame at all — evicts
+    /// the connection ([`QueueOutcome::Overflow`]); crossing a quarter
+    /// of it pauses reads until the peer drains.
     pub fn queue_reply(&mut self, reply: &Reply) -> QueueOutcome {
         if self.state == ConnState::Closed {
             return QueueOutcome::Queued; // nowhere to go; quietly dropped
         }
-        self.out.extend_from_slice(&encode_frame(&reply.encode()));
-        if self.backlog_bytes() > self.backlog_max {
+        if record::encode(&mut self.out, &reply.encode()).is_err()
+            || self.backlog_bytes() > self.backlog_max
+        {
             self.force_close();
             return QueueOutcome::Overflow;
         }
@@ -427,64 +430,6 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c == '\\' {
-            if let Some(n) = it.next() {
-                out.push(n);
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Pulls `"key":"value"` out of a canonical trace line.
-fn json_str(line: &str, key: &str) -> Result<String, String> {
-    let tag = format!("\"{key}\":\"");
-    let at = line
-        .find(&tag)
-        .ok_or_else(|| format!("missing `{key}` in {line}"))?
-        + tag.len();
-    let rest = &line[at..];
-    let mut end = 0usize;
-    let bytes = rest.as_bytes();
-    while end < bytes.len() {
-        if bytes[end] == b'\\' {
-            end += 2;
-            continue;
-        }
-        if bytes[end] == b'"' {
-            return Ok(unesc(&rest[..end]));
-        }
-        end += 1;
-    }
-    Err(format!("unterminated `{key}` in {line}"))
-}
-
-/// Pulls `"key":N` out of a canonical trace line.
-fn json_u64(line: &str, key: &str) -> Result<u64, String> {
-    let tag = format!("\"{key}\":");
-    let at = line
-        .find(&tag)
-        .ok_or_else(|| format!("missing `{key}` in {line}"))?
-        + tag.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits
-        .parse()
-        .map_err(|_| format!("bad `{key}` number in {line}"))
-}
-
 impl TraceEvent {
     /// The canonical JSONL rendering (fixed field order; re-encoding a
     /// parsed line reproduces it byte-for-byte).
@@ -499,15 +444,15 @@ impl TraceEvent {
             }
             TraceEvent::Frame { conn, id, text } => format!(
                 "{{\"ev\":\"frame\",\"conn\":{conn},\"id\":{id},\"text\":\"{}\"}}",
-                esc(text)
+                escape_json(text)
             ),
             TraceEvent::Dispatch { conn, id, session } => format!(
                 "{{\"ev\":\"dispatch\",\"conn\":{conn},\"id\":{id},\"session\":\"{}\"}}",
-                esc(session)
+                escape_json(session)
             ),
             TraceEvent::Reply { conn, id, text } => format!(
                 "{{\"ev\":\"reply\",\"conn\":{conn},\"id\":{id},\"text\":\"{}\"}}",
-                esc(text)
+                escape_json(text)
             ),
             TraceEvent::Writable { conn, hex } => {
                 format!("{{\"ev\":\"writable\",\"conn\":{conn},\"hex\":\"{hex}\"}}")
@@ -522,36 +467,48 @@ impl TraceEvent {
     ///
     /// A description of the malformed field.
     pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
-        let ev = json_str(line, "ev")?;
-        let conn = json_u64(line, "conn")?;
-        Ok(match ev.as_str() {
+        let v = Value::parse(line)?;
+        let num = |key: &str| {
+            v.get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("missing `{key}` number in {line}"))
+        };
+        let text = |key: &str| {
+            v.get(key)
+                .and_then(Value::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| format!("missing `{key}` string in {line}"))
+        };
+        let conn = num("conn")?;
+        Ok(match text("ev")?.as_str() {
             "accept" => TraceEvent::Accept { conn },
             "readable" => TraceEvent::Readable {
                 conn,
-                hex: json_str(line, "hex")?,
+                hex: text("hex")?,
             },
             "handshake" => TraceEvent::Handshake {
                 conn,
-                version: json_u64(line, "version")? as u8,
+                version: u8::try_from(num("version")?)
+                    .map_err(|_| format!("`version` out of range in {line}"))?,
             },
             "frame" => TraceEvent::Frame {
                 conn,
-                id: json_u64(line, "id")?,
-                text: json_str(line, "text")?,
+                id: num("id")?,
+                text: text("text")?,
             },
             "dispatch" => TraceEvent::Dispatch {
                 conn,
-                id: json_u64(line, "id")?,
-                session: json_str(line, "session")?,
+                id: num("id")?,
+                session: text("session")?,
             },
             "reply" => TraceEvent::Reply {
                 conn,
-                id: json_u64(line, "id")?,
-                text: json_str(line, "text")?,
+                id: num("id")?,
+                text: text("text")?,
             },
             "writable" => TraceEvent::Writable {
                 conn,
-                hex: json_str(line, "hex")?,
+                hex: text("hex")?,
             },
             "close" => TraceEvent::Close { conn },
             other => return Err(format!("unknown trace event `{other}`")),
@@ -562,10 +519,12 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{encode_frame, Reply, ReplyBody, Request, RequestBody, RequestRef};
+    use crate::proto::{Reply, ReplyBody, Request, RequestBody, RequestRef};
 
     fn frame_for(req: &Request) -> Vec<u8> {
-        encode_frame(&req.encode(None))
+        let mut out = Vec::new();
+        record::encode(&mut out, &req.encode(None)).unwrap();
+        out
     }
 
     /// A connection past the handshake, its magic echo flushed.
@@ -607,7 +566,7 @@ mod tests {
             panic!("expected a frame");
         };
         let (decoded, trace) = RequestRef::decode(c.frame_payload(off, len)).unwrap();
-        assert_eq!(decoded.to_owned(), req);
+        assert_eq!((decoded.id, decoded.body), (req.id, req.body.view()));
         assert_eq!(trace, None);
         assert_eq!(c.frames_in_place(), 1);
     }
@@ -635,7 +594,7 @@ mod tests {
         c.ingest(&bytes);
         assert!(matches!(
             c.next_event(),
-            Some(ConnEvent::Corrupt(FrameCorruption::BadChecksum { .. }))
+            Some(ConnEvent::Corrupt(RecordCorruption::BadChecksum { .. }))
         ));
         assert_eq!(c.state(), ConnState::Draining);
         let outcome = c.queue_reply(&Reply {
@@ -771,5 +730,33 @@ mod tests {
         assert_eq!(from_hex(&to_hex(b"\x00\xffriot")).unwrap(), b"\x00\xffriot");
         assert!(from_hex("abc").is_err());
         assert!(TraceEvent::parse_line("{\"ev\":\"warp\",\"conn\":1}").is_err());
+    }
+
+    #[test]
+    fn trace_text_with_control_characters_stays_one_json_line() {
+        // A `cmd` tail can hold a newline; its frame and reply texts
+        // must not split the JSONL record.
+        for text in [
+            "cmd s create nand2 A\nundo",
+            "err tab\there",
+            "nul \u{0} \"q\" \\",
+        ] {
+            let ev = TraceEvent::Frame {
+                conn: 1,
+                id: 9,
+                text: text.into(),
+            };
+            let line = ev.to_json_line();
+            assert_eq!(line.lines().count(), 1, "{line}");
+            assert!(Value::parse(&line).is_ok(), "{line} is not JSON");
+            assert_eq!(TraceEvent::parse_line(&line).unwrap(), ev);
+        }
+    }
+
+    #[test]
+    fn handshake_version_out_of_range_is_rejected() {
+        let line = "{\"ev\":\"handshake\",\"conn\":1,\"version\":258}";
+        let err = TraceEvent::parse_line(line).unwrap_err();
+        assert!(err.contains("version"), "{err}");
     }
 }

@@ -5,7 +5,8 @@
 //! frames with client-chosen request ids for pipelining and optional
 //! trace contexts) over TCP or Unix-domain sockets.
 //!
-//! * [`proto`] — frames, requests, replies, handshake
+//! * [`proto`] — requests, replies, handshake; frames are
+//!   [`riot_core::record`]s, the same code as WAL records and snapshots
 //! * [`session`] — WAL-backed hosted sessions (durability + recovery)
 //! * [`snapshot`] — `RIOTSNAP1` session snapshots (O(tail) recovery,
 //!   WAL compaction)
@@ -48,14 +49,12 @@ pub use flightrec::{FlightEvent, FlightKind, FlightRecorder};
 pub use manager::{JobKind, ReplyTx, SessionManager};
 pub use net::{Bind, BoundAddr, Interest, Listener, PollSet, Readiness, Stream, WakePipe};
 pub use proto::{
-    decode_frame_eof, encode_frame, handshake_client, read_frame_into, scan_frame_ref,
-    valid_session_name, write_frame, FrameCorruption, FrameScanRef, ProtoError, Reply, ReplyBody,
-    Request, RequestBody, RequestBodyRef, RequestRef, TelemetryFormat, SRV_MAGIC_V2,
+    handshake_client, valid_session_name, ProtoError, Reply, ReplyBody, Request, RequestBody,
+    RequestBodyRef, RequestRef, TelemetryFormat, MAX_FRAME_PAYLOAD, SRV_MAGIC_V2,
 };
 pub use server::{Server, ServerHandle};
 pub use session::{wal_path, OpenKind, SessionEntry};
 pub use snapshot::{
-    frame_snapshot, load_snapshot, parse_snapshot, snap_path, write_snapshot, SnapLoad,
-    SnapshotError, SNAP_MAGIC,
+    load_snapshot, parse_snapshot, snap_path, write_snapshot, SnapshotError, SNAP_MAGIC,
 };
 pub use telemetry::TelemetryServer;

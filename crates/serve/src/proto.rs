@@ -10,14 +10,16 @@
 //!
 //! # Frame format
 //!
-//! Deliberately the same record shape as the crash-safe journal
-//! ([`riot_core::WAL_MAGIC`] files): a `u32` little-endian payload
-//! length, a `u32` little-endian CRC-32 (IEEE, zlib-compatible —
-//! [`riot_core::crc32`]) of the payload, then the payload bytes. A
-//! frame whose length exceeds [`MAX_FRAME_PAYLOAD`] or whose checksum
-//! disagrees is a protocol error; the server replies with a
-//! description and closes the connection rather than guessing at
-//! resynchronization.
+//! A frame is one [`riot_core::record`], written and scanned by the
+//! same code as the crash-safe journal's records
+//! ([`riot_core::WAL_MAGIC`] files) and the snapshot's: a `u32`
+//! little-endian payload length, a `u32` little-endian CRC-32 (IEEE,
+//! zlib-compatible — [`riot_core::crc32`]) of the payload, then the
+//! payload bytes. Readers pass the scanner [`MAX_FRAME_PAYLOAD`] as the
+//! length cap, so an overrun is refused from the header alone. A frame
+//! that is too large or whose checksum disagrees is a protocol error;
+//! the server replies with a description and closes the connection
+//! rather than guessing at resynchronization.
 //!
 //! # Payloads
 //!
@@ -57,7 +59,7 @@
 //!                            retry after draining in-flight replies
 //! ```
 
-use riot_core::crc32;
+use riot_core::RecordCorruption;
 use riot_trace::TraceContext;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -73,54 +75,6 @@ pub const REQ_FLAG_TRACE: u8 = 0x01;
 /// approaching this is a corrupt length field or an abusive client.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
 
-/// Why a frame (or handshake) could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameCorruption {
-    /// The connection did not open with [`SRV_MAGIC_V2`].
-    BadMagic,
-    /// Fewer than 8 header bytes were available — a torn header.
-    TornHeader,
-    /// The header promises more payload than is available.
-    TornPayload {
-        /// Bytes the header claims.
-        expected: usize,
-        /// Bytes actually available.
-        available: usize,
-    },
-    /// The length field exceeds [`MAX_FRAME_PAYLOAD`].
-    TooLarge(usize),
-    /// The stored checksum disagrees with the payload bytes.
-    BadChecksum {
-        /// Checksum in the frame header.
-        stored: u32,
-        /// Checksum of the received payload.
-        computed: u32,
-    },
-}
-
-impl fmt::Display for FrameCorruption {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameCorruption::BadMagic => f.write_str("missing RIOTSRV2 magic"),
-            FrameCorruption::TornHeader => f.write_str("torn frame header"),
-            FrameCorruption::TornPayload {
-                expected,
-                available,
-            } => write!(
-                f,
-                "torn frame payload: {expected} bytes promised, {available} present"
-            ),
-            FrameCorruption::TooLarge(n) => {
-                write!(f, "frame payload of {n} bytes exceeds {MAX_FRAME_PAYLOAD}")
-            }
-            FrameCorruption::BadChecksum { stored, computed } => write!(
-                f,
-                "frame checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-        }
-    }
-}
-
 /// A protocol-layer error: I/O or corruption.
 #[derive(Debug)]
 pub enum ProtoError {
@@ -128,8 +82,8 @@ pub enum ProtoError {
     Io(io::Error),
     /// The peer closed the connection cleanly between frames.
     Closed,
-    /// The bytes on the wire are not a valid frame.
-    Corrupt(FrameCorruption),
+    /// The bytes on the wire are not a valid handshake or frame.
+    Corrupt(RecordCorruption),
     /// The frame decoded but its payload is not a valid message.
     BadPayload(String),
 }
@@ -151,152 +105,6 @@ impl From<io::Error> for ProtoError {
     fn from(e: io::Error) -> Self {
         ProtoError::Io(e)
     }
-}
-
-/// Encodes one frame: `[len u32 LE][crc32 u32 LE][payload]`.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// The outcome of scanning a byte buffer for one frame. A complete
-/// frame's payload **borrows** the scanned buffer instead of copying
-/// it — the event loop decodes requests straight out of each
-/// connection's receive buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameScanRef<'a> {
-    /// A complete, intact frame: its payload (borrowed, in place) and
-    /// the total bytes consumed (header + payload).
-    Complete {
-        /// The verified payload, borrowed from the scanned buffer.
-        payload: &'a [u8],
-        /// Header + payload length in bytes.
-        consumed: usize,
-    },
-    /// More bytes are needed; nothing was consumed.
-    Incomplete,
-    /// The buffer head is not a valid frame.
-    Corrupt(FrameCorruption),
-}
-
-/// Scans `buf` for one frame at offset 0 without consuming input and
-/// without copying the payload.
-///
-/// Unlike the streaming [`read_frame_into`], this never blocks: partial
-/// frames report [`FrameScanRef::Incomplete`]. A length field beyond
-/// [`MAX_FRAME_PAYLOAD`] and a checksum mismatch are immediately
-/// [`FrameScanRef::Corrupt`] — a decoder must not wait for a 4 GiB
-/// payload that a flipped length bit promised.
-pub fn scan_frame_ref(buf: &[u8]) -> FrameScanRef<'_> {
-    if buf.len() < 8 {
-        return FrameScanRef::Incomplete;
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return FrameScanRef::Corrupt(FrameCorruption::TooLarge(len));
-    }
-    let stored = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    if buf.len() - 8 < len {
-        return FrameScanRef::Incomplete;
-    }
-    let payload = &buf[8..8 + len];
-    let computed = crc32(payload);
-    if computed != stored {
-        return FrameScanRef::Corrupt(FrameCorruption::BadChecksum { stored, computed });
-    }
-    FrameScanRef::Complete {
-        payload,
-        consumed: 8 + len,
-    }
-}
-
-/// Scans a complete byte stream (no more input coming) for one frame —
-/// the decoder used by the proptests and the golden fixture: torn
-/// tails decode to a clean [`FrameCorruption`], never a panic.
-pub fn decode_frame_eof(buf: &[u8]) -> Result<(&[u8], usize), FrameCorruption> {
-    match scan_frame_ref(buf) {
-        FrameScanRef::Complete { payload, consumed } => Ok((payload, consumed)),
-        FrameScanRef::Corrupt(c) => Err(c),
-        FrameScanRef::Incomplete => {
-            if buf.len() < 8 {
-                Err(FrameCorruption::TornHeader)
-            } else {
-                let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-                Err(FrameCorruption::TornPayload {
-                    expected: len,
-                    available: buf.len() - 8,
-                })
-            }
-        }
-    }
-}
-
-/// Writes one frame to `w` (no flush).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&encode_frame(payload))
-}
-
-/// Reads one frame from `r` into `scratch`, blocking and reusing its
-/// allocation. On success `scratch` holds exactly the payload bytes. A
-/// reuse — the buffer's existing capacity was enough, no allocation —
-/// counts `serve.frame.buf_reuse`.
-///
-/// # Errors
-///
-/// [`ProtoError::Closed`] when the stream ends cleanly *between*
-/// frames; an EOF mid-frame is a corrupt (torn) frame; socket errors.
-pub fn read_frame_into(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(), ProtoError> {
-    let mut header = [0u8; 8];
-    let mut got = 0usize;
-    while got < 8 {
-        match r.read(&mut header[got..]) {
-            Ok(0) => {
-                return Err(if got == 0 {
-                    ProtoError::Closed
-                } else {
-                    ProtoError::Corrupt(FrameCorruption::TornHeader)
-                });
-            }
-            Ok(n) => got += n,
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(ProtoError::Corrupt(FrameCorruption::TooLarge(len)));
-    }
-    let stored = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > 0 && scratch.capacity() >= len {
-        riot_trace::registry()
-            .counter("serve.frame.buf_reuse")
-            .inc();
-    }
-    scratch.clear();
-    scratch.resize(len, 0);
-    let mut got = 0usize;
-    while got < len {
-        match r.read(&mut scratch[got..]) {
-            Ok(0) => {
-                return Err(ProtoError::Corrupt(FrameCorruption::TornPayload {
-                    expected: len,
-                    available: got,
-                }));
-            }
-            Ok(n) => got += n,
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    let computed = crc32(scratch);
-    if computed != stored {
-        return Err(ProtoError::Corrupt(FrameCorruption::BadChecksum {
-            stored,
-            computed,
-        }));
-    }
-    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -377,36 +185,33 @@ pub struct Request {
 }
 
 impl RequestBody {
-    /// The canonical text form.
-    fn to_text(&self) -> String {
+    /// The borrowing view: what [`RequestRef::decode`] yields for this
+    /// body, and the one path to its text form.
+    pub fn view(&self) -> RequestBodyRef<'_> {
         match self {
-            RequestBody::Open { session, cell } => format!("open {session} {cell}"),
-            RequestBody::Cmd { session, line } => format!("cmd {session} {line}"),
-            RequestBody::Close { session } => format!("close {session}"),
-            RequestBody::Ping => "ping".to_owned(),
-            RequestBody::Stats { session: None } => "stats".to_owned(),
-            RequestBody::Stats {
-                session: Some(session),
-            } => format!("stats {session}"),
-            RequestBody::Telemetry {
-                format: TelemetryFormat::Prometheus,
-            } => "telemetry prom".to_owned(),
-            RequestBody::Telemetry {
-                format: TelemetryFormat::Json,
-            } => "telemetry json".to_owned(),
-            RequestBody::Dump => "dump".to_owned(),
-            RequestBody::Shutdown => "shutdown".to_owned(),
-            RequestBody::Stall { session, ms } => format!("stall {session} {ms}"),
+            RequestBody::Open { session, cell } => RequestBodyRef::Open { session, cell },
+            RequestBody::Cmd { session, line } => RequestBodyRef::Cmd { session, line },
+            RequestBody::Close { session } => RequestBodyRef::Close { session },
+            RequestBody::Ping => RequestBodyRef::Ping,
+            RequestBody::Stats { session } => RequestBodyRef::Stats {
+                session: session.as_deref(),
+            },
+            RequestBody::Telemetry { format } => RequestBodyRef::Telemetry { format: *format },
+            RequestBody::Dump => RequestBodyRef::Dump,
+            RequestBody::Shutdown => RequestBodyRef::Shutdown,
+            RequestBody::Stall { session, ms } => RequestBodyRef::Stall { session, ms: *ms },
         }
     }
 }
 
 /// A zero-copy view of a [`RequestBody`]: every field borrows the
-/// frame payload it was decoded from. The event loop parses requests
-/// in place over a connection's receive buffer and only materializes
-/// owned strings ([`RequestBodyRef::to_owned`]) for verbs that cross a
-/// thread boundary into the worker pool — `ping`, `stats`, `telemetry`,
-/// `dump` and `shutdown` never allocate at all.
+/// frame payload it was decoded from (or the [`RequestBody`] it views).
+/// This type owns the request text codec: [`RequestBodyRef::parse`]
+/// reads it and `Display` writes it. The event loop parses requests in
+/// place over a connection's receive buffer and only copies strings
+/// for verbs that cross a thread boundary into the worker pool —
+/// `ping`, `stats`, `telemetry`, `dump` and `shutdown` never allocate
+/// at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestBodyRef<'a> {
     /// See [`RequestBody::Open`].
@@ -418,7 +223,7 @@ pub enum RequestBodyRef<'a> {
     },
     /// See [`RequestBody::Cmd`]. `line` is the raw tail after the
     /// session token — interior whitespace is normalized only when the
-    /// command is materialized for dispatch.
+    /// server dispatches the command.
     Cmd {
         /// Target session, borrowed from the payload.
         session: &'a str,
@@ -471,8 +276,8 @@ impl<'a> RequestBodyRef<'a> {
             Some("open") => return Err("`open` wants: open <session> <cell>".into()),
             Some("cmd") if f.len() >= 3 => {
                 // The line is the raw tail starting at the third token:
-                // borrowed, not joined — normalization happens only if
-                // the command is materialized.
+                // borrowed, not joined — the server's dispatch
+                // normalizes it.
                 let off = f[2].as_ptr() as usize - text.as_ptr() as usize;
                 RequestBodyRef::Cmd {
                     session: f[1],
@@ -483,6 +288,7 @@ impl<'a> RequestBodyRef<'a> {
             Some("close") if f.len() == 2 => RequestBodyRef::Close { session: f[1] },
             Some("close") => return Err("`close` wants: close <session>".into()),
             Some("ping") if f.len() == 1 => RequestBodyRef::Ping,
+            Some("ping") => return Err("`ping` takes no arguments".into()),
             Some("stats") if f.len() == 1 => RequestBodyRef::Stats { session: None },
             Some("stats") if f.len() == 2 => RequestBodyRef::Stats {
                 session: Some(f[1]),
@@ -501,41 +307,40 @@ impl<'a> RequestBodyRef<'a> {
             Some("dump") if f.len() == 1 => RequestBodyRef::Dump,
             Some("dump") => return Err("`dump` takes no arguments".into()),
             Some("shutdown") if f.len() == 1 => RequestBodyRef::Shutdown,
+            Some("shutdown") => return Err("`shutdown` takes no arguments".into()),
             Some("stall") if f.len() == 3 => RequestBodyRef::Stall {
                 session: f[1],
                 ms: f[2].parse().map_err(|_| "stall wants integer ms")?,
             },
+            Some("stall") => return Err("`stall` wants: stall <session> <ms>".into()),
             Some(other) => return Err(format!("unknown verb `{other}`")),
             None => return Err("empty request".into()),
         })
     }
+}
 
-    /// Materializes owned strings, normalizing a `cmd` line's interior
-    /// whitespace.
-    pub fn to_owned(self) -> RequestBody {
+impl fmt::Display for RequestBodyRef<'_> {
+    /// The canonical text form, which [`RequestBodyRef::parse`] reads
+    /// back.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RequestBodyRef::Open { session, cell } => RequestBody::Open {
-                session: session.to_owned(),
-                cell: cell.to_owned(),
-            },
-            RequestBodyRef::Cmd { session, line } => RequestBody::Cmd {
-                session: session.to_owned(),
-                line: line.split_whitespace().collect::<Vec<_>>().join(" "),
-            },
-            RequestBodyRef::Close { session } => RequestBody::Close {
-                session: session.to_owned(),
-            },
-            RequestBodyRef::Ping => RequestBody::Ping,
-            RequestBodyRef::Stats { session } => RequestBody::Stats {
-                session: session.map(str::to_owned),
-            },
-            RequestBodyRef::Telemetry { format } => RequestBody::Telemetry { format },
-            RequestBodyRef::Dump => RequestBody::Dump,
-            RequestBodyRef::Shutdown => RequestBody::Shutdown,
-            RequestBodyRef::Stall { session, ms } => RequestBody::Stall {
-                session: session.to_owned(),
-                ms,
-            },
+            RequestBodyRef::Open { session, cell } => write!(f, "open {session} {cell}"),
+            RequestBodyRef::Cmd { session, line } => write!(f, "cmd {session} {line}"),
+            RequestBodyRef::Close { session } => write!(f, "close {session}"),
+            RequestBodyRef::Ping => f.write_str("ping"),
+            RequestBodyRef::Stats { session: None } => f.write_str("stats"),
+            RequestBodyRef::Stats {
+                session: Some(session),
+            } => write!(f, "stats {session}"),
+            RequestBodyRef::Telemetry {
+                format: TelemetryFormat::Prometheus,
+            } => f.write_str("telemetry prom"),
+            RequestBodyRef::Telemetry {
+                format: TelemetryFormat::Json,
+            } => f.write_str("telemetry json"),
+            RequestBodyRef::Dump => f.write_str("dump"),
+            RequestBodyRef::Shutdown => f.write_str("shutdown"),
+            RequestBodyRef::Stall { session, ms } => write!(f, "stall {session} {ms}"),
         }
     }
 }
@@ -595,14 +400,6 @@ impl<'a> RequestRef<'a> {
             trace,
         ))
     }
-
-    /// Materializes an owned [`Request`].
-    pub fn to_owned(self) -> Request {
-        Request {
-            id: self.id,
-            body: self.body.to_owned(),
-        }
-    }
 }
 
 impl Request {
@@ -610,9 +407,8 @@ impl Request {
     /// context, text form. `trace: None` (or a [`TraceContext::NONE`])
     /// emits a zero flags byte and no context bytes.
     pub fn encode(&self, trace: Option<TraceContext>) -> Vec<u8> {
-        let text = self.body.to_text();
         let trace = trace.filter(|c| !c.is_none());
-        let mut out = Vec::with_capacity(9 + 16 + text.len());
+        let mut out = Vec::with_capacity(64);
         out.extend_from_slice(&self.id.to_le_bytes());
         match trace {
             Some(ctx) => {
@@ -622,7 +418,8 @@ impl Request {
             }
             None => out.push(0),
         }
-        out.extend_from_slice(text.as_bytes());
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{}", self.body.view());
         out
     }
 }
@@ -708,7 +505,7 @@ pub fn handshake_client(stream: &mut (impl Read + Write)) -> Result<(), ProtoErr
     let mut magic = [0u8; 8];
     stream.read_exact(&mut magic)?;
     if &magic != SRV_MAGIC_V2 {
-        return Err(ProtoError::Corrupt(FrameCorruption::BadMagic));
+        return Err(ProtoError::Corrupt(RecordCorruption::BadMagic));
     }
     Ok(())
 }
@@ -727,10 +524,20 @@ pub fn valid_session_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use riot_core::record::{self, Scan};
 
-    /// Decodes `bytes` and materializes the owned request.
-    fn decode(bytes: &[u8]) -> Result<(Request, Option<TraceContext>), String> {
-        RequestRef::decode(bytes).map(|(req, trace)| (req.to_owned(), trace))
+    /// Decodes `bytes` into the id, the borrowed body and the trace.
+    fn decode(bytes: &[u8]) -> Result<(u64, RequestBodyRef<'_>, Option<TraceContext>), String> {
+        RequestRef::decode(bytes).map(|(req, trace)| (req.id, req.body, trace))
+    }
+
+    /// Asserts `req` survives encode → decode with `trace`.
+    fn assert_round_trip(req: &Request, trace: Option<TraceContext>) {
+        let bytes = req.encode(trace);
+        assert_eq!(
+            decode(&bytes).unwrap(),
+            (req.id, req.body.view(), trace.filter(|c| !c.is_none()))
+        );
     }
 
     /// An untraced payload: id, a zero flags byte, then `text`.
@@ -741,9 +548,21 @@ mod tests {
         p
     }
 
+    /// One wire frame around `payload`.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        record::encode(&mut out, payload).unwrap();
+        out
+    }
+
+    /// Reads one frame from input that has ended, under the wire cap.
+    fn decode_frame_eof(bytes: &[u8]) -> Result<(&[u8], usize), RecordCorruption> {
+        record::scan_eof(bytes, Some(MAX_FRAME_PAYLOAD))
+    }
+
     #[test]
     fn frame_round_trip() {
-        let frame = encode_frame(b"hello riot");
+        let frame = frame(b"hello riot");
         let (payload, consumed) = decode_frame_eof(&frame).unwrap();
         assert_eq!(payload, b"hello riot");
         assert_eq!(consumed, frame.len());
@@ -751,7 +570,7 @@ mod tests {
 
     #[test]
     fn empty_payload_is_a_valid_frame() {
-        let frame = encode_frame(b"");
+        let frame = frame(b"");
         let (payload, consumed) = decode_frame_eof(&frame).unwrap();
         assert!(payload.is_empty());
         assert_eq!(consumed, 8);
@@ -759,14 +578,14 @@ mod tests {
 
     #[test]
     fn torn_header_and_payload_are_clean_errors() {
-        let frame = encode_frame(b"payload");
+        let frame = frame(b"payload");
         assert_eq!(
             decode_frame_eof(&frame[..5]),
-            Err(FrameCorruption::TornHeader)
+            Err(RecordCorruption::TornHeader)
         );
         assert_eq!(
             decode_frame_eof(&frame[..frame.len() - 2]),
-            Err(FrameCorruption::TornPayload {
+            Err(RecordCorruption::TornPayload {
                 expected: 7,
                 available: 5
             })
@@ -775,23 +594,27 @@ mod tests {
 
     #[test]
     fn bit_flip_is_a_checksum_error() {
-        let mut frame = encode_frame(b"payload");
+        let mut frame = frame(b"payload");
         let last = frame.len() - 1;
         frame[last] ^= 0x10;
         assert!(matches!(
             decode_frame_eof(&frame),
-            Err(FrameCorruption::BadChecksum { .. })
+            Err(RecordCorruption::BadChecksum { .. })
         ));
     }
 
     #[test]
     fn oversize_length_is_rejected_without_waiting() {
-        let mut frame = encode_frame(b"x");
+        let mut frame = Vec::new();
+        record::encode(&mut frame, b"x").unwrap();
         frame[..4].copy_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(matches!(
-            scan_frame_ref(&frame),
-            FrameScanRef::Corrupt(FrameCorruption::TooLarge(_))
-        ));
+        assert_eq!(
+            record::scan(&frame, Some(MAX_FRAME_PAYLOAD)),
+            Scan::Corrupt(RecordCorruption::TooLarge {
+                len: u32::MAX as usize,
+                max: MAX_FRAME_PAYLOAD
+            })
+        );
     }
 
     #[test]
@@ -828,7 +651,7 @@ mod tests {
                 id: 0xDEAD_0000 + i as u64,
                 body,
             };
-            assert_eq!(decode(&req.encode(None)).unwrap(), (req, None));
+            assert_round_trip(&req, None);
         }
     }
 
@@ -848,9 +671,20 @@ mod tests {
     #[test]
     fn request_decode_rejects_garbage() {
         assert!(decode(b"short").is_err());
-        assert!(decode(&payload(b"frobnicate x")).is_err());
         assert!(decode(&payload(&[0xFF, 0xFE, 0x80])).is_err());
-        assert!(decode(&payload(b"open only_two")).is_err());
+        // Every malformed text names its verb and what it wants.
+        for (text, want) in [
+            ("frobnicate x", "unknown verb `frobnicate`"),
+            ("open only_two", "`open` wants"),
+            ("ping x", "`ping` takes no arguments"),
+            ("shutdown now", "`shutdown` takes no arguments"),
+            ("stall s", "`stall` wants: stall <session> <ms>"),
+            ("stall s soon", "stall wants integer ms"),
+            ("dump all", "`dump` takes no arguments"),
+        ] {
+            let err = decode(&payload(text.as_bytes())).unwrap_err();
+            assert!(err.contains(want), "{text:?} gave {err:?}");
+        }
     }
 
     #[test]
@@ -862,16 +696,12 @@ mod tests {
                 line: "create or2 G0".into(),
             },
         };
-        let ctx = TraceContext::new(0xABCD_EF01_2345_6789, 42);
-        assert_eq!(
-            decode(&req.encode(Some(ctx))).unwrap(),
-            (req.clone(), Some(ctx))
-        );
-        assert_eq!(decode(&req.encode(None)).unwrap(), (req.clone(), None));
+        assert_round_trip(&req, Some(TraceContext::new(0xABCD_EF01_2345_6789, 42)));
+        assert_round_trip(&req, None);
         // A NONE context is normalized away rather than wasting bytes.
         let bytes = req.encode(Some(TraceContext::NONE));
         assert_eq!(bytes[8], 0);
-        assert_eq!(decode(&bytes).unwrap().1, None);
+        assert_eq!(decode(&bytes).unwrap().2, None);
     }
 
     #[test]
@@ -899,13 +729,12 @@ mod tests {
             },
             RequestBody::Dump,
         ] {
-            let req = Request { id: 5, body };
-            assert_eq!(decode(&req.encode(None)).unwrap(), (req, None));
+            assert_round_trip(&Request { id: 5, body }, None);
         }
         // Bare `telemetry` defaults to Prometheus.
         assert_eq!(
-            decode(&payload(b"telemetry")).unwrap().0.body,
-            RequestBody::Telemetry {
+            decode(&payload(b"telemetry")).unwrap().1,
+            RequestBodyRef::Telemetry {
                 format: TelemetryFormat::Prometheus
             }
         );
@@ -919,31 +748,5 @@ mod tests {
         assert!(!valid_session_name("../../etc/passwd"));
         assert!(!valid_session_name("a.wal"));
         assert!(!valid_session_name(&"x".repeat(65)));
-    }
-
-    #[test]
-    fn scratch_buffer_is_reused_across_frames() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"a long first payload").unwrap();
-        write_frame(&mut buf, b"short").unwrap();
-        write_frame(&mut buf, b"mid-sized one").unwrap();
-        let reuse = riot_trace::registry().counter("serve.frame.buf_reuse");
-        let before = reuse.get();
-        let mut r = &buf[..];
-        let mut scratch = Vec::new();
-        read_frame_into(&mut r, &mut scratch).unwrap();
-        assert_eq!(scratch, b"a long first payload");
-        let cap = scratch.capacity();
-        // The next two payloads fit in the first one's allocation.
-        read_frame_into(&mut r, &mut scratch).unwrap();
-        assert_eq!(scratch, b"short");
-        read_frame_into(&mut r, &mut scratch).unwrap();
-        assert_eq!(scratch, b"mid-sized one");
-        assert_eq!(scratch.capacity(), cap, "no reallocation");
-        assert_eq!(reuse.get() - before, 2, "two reused decodes counted");
-        assert!(matches!(
-            read_frame_into(&mut r, &mut scratch),
-            Err(ProtoError::Closed)
-        ));
     }
 }

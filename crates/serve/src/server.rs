@@ -628,7 +628,8 @@ fn dispatch(
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::proto::{decode_frame_eof, encode_frame, Request, RequestBody, SRV_MAGIC_V2};
+    use crate::proto::{Request, RequestBody, MAX_FRAME_PAYLOAD, SRV_MAGIC_V2};
+    use riot_core::record;
     use std::path::{Path, PathBuf};
     use std::time::Duration;
 
@@ -723,19 +724,18 @@ mod tests {
         let mut echo = [0u8; 8];
         s.read_exact(&mut echo).unwrap();
         assert_eq!(&echo, SRV_MAGIC_V2);
-        let mut frame = encode_frame(
-            &Request {
-                id: 1,
-                body: RequestBody::Ping,
-            }
-            .encode(None),
-        );
+        let mut frame = Vec::new();
+        let ping = Request {
+            id: 1,
+            body: RequestBody::Ping,
+        };
+        record::encode(&mut frame, &ping.encode(None)).unwrap();
         let last = frame.len() - 1;
         frame[last] ^= 0x40; // bad checksum
         s.write_all(&frame).unwrap();
         let mut wire = Vec::new();
         s.read_to_end(&mut wire).unwrap(); // server replies, then closes
-        let (payload, _) = decode_frame_eof(&wire).unwrap();
+        let (payload, _) = record::scan_eof(&wire, Some(MAX_FRAME_PAYLOAD)).unwrap();
         let reply = Reply::decode(payload).unwrap();
         assert_eq!(reply.id, u64::MAX);
         assert!(

@@ -29,19 +29,22 @@
 //! [`riot_core::Journal::recover_wal`]: the longest intact prefix is
 //! kept, and a torn tail — say, from a fault injected at
 //! [`riot_core::FAULT_SERVE_JOURNAL_APPEND`] mid-append — costs at
-//! most the unacknowledged suffix, never consistency. With a snapshot
-//! (see [`crate::snapshot`]) the session state is decoded directly and
-//! only the WAL records *past* the snapshot replay through the engine;
-//! without one (or when the snapshot is torn or fails its CRC) the
-//! whole prefix replays, one command at a time, through the same
-//! transactional `execute` everything else uses. Either way the file
-//! is truncated back to what recovered, and recovery cost is bounded
-//! by the snapshot interval instead of the session's lifetime.
+//! most the unacknowledged suffix, never consistency. Then
+//! [`SessionEntry::recover`] runs one sequence. It picks a base: the
+//! snapshot (see [`crate::snapshot`]) when it decodes and fits this
+//! WAL, else the WAL's `edit` head. It replays the records past that
+//! base, one command at a time, through the same transactional
+//! `execute` everything else uses. It then cuts the WAL in place to the
+//! end of the last record that recovered. An intact WAL whose every
+//! record replayed is reopened for append and never rewritten, so a
+//! kill at any moment of recovery loses nothing that was acknowledged.
+//! Recovery cost is bounded by the snapshot interval instead of the
+//! session's lifetime.
 
 use crate::fault::ServeFaults;
-use crate::snapshot::{load_snapshot, write_snapshot, SnapLoad};
+use crate::snapshot::{load_snapshot, write_snapshot};
 use riot_core::{
-    command_to_line, crc32, encode_session, Checkpoint, Command, Editor, Journal, Library,
+    encode_session, encode_wal_record, record, Checkpoint, Command, Editor, Journal, Library,
     RiotError, WAL_MAGIC,
 };
 use std::fs::{File, OpenOptions};
@@ -121,12 +124,7 @@ impl SessionEntry {
             .write(true)
             .open(&path)
             .map_err(|e| format!("cannot create WAL {}: {e}", path.display()))?;
-        wal.write_all(WAL_MAGIC)
-            .and_then(|()| {
-                wal.write_all(&record_bytes(&command_to_line(&Command::Edit {
-                    cell: cell.to_owned(),
-                })))
-            })
+        wal.write_all(&cp.journal().to_wal())
             .and_then(|()| fsync_file(&mut wal))
             .map_err(|e| format!("cannot write WAL head: {e}"))?;
         riot_trace::registry()
@@ -146,13 +144,18 @@ impl SessionEntry {
         })
     }
 
-    /// Recovers a session from its WAL (and snapshot, when one exists):
-    /// reads the file, keeps the longest intact prefix, and rebuilds
-    /// the session per the recovery matrix in [`crate::snapshot`] —
-    /// snapshot plus WAL-tail replay when possible, full-history replay
-    /// as the fallback, an honest error when a compacted WAL's required
-    /// snapshot is unusable. The file is truncated back to exactly what
-    /// recovered.
+    /// Recovers a session from its WAL (and snapshot, when one exists)
+    /// in one sequence, per the recovery matrix in [`crate::snapshot`]:
+    ///
+    /// 1. pick the base — the snapshot when it decodes, its journal
+    ///    holds `covered` records, it fits the WAL's layout and the
+    ///    editor resumes from it; else the WAL's `edit` head; else an
+    ///    honest error for a compacted WAL with no usable snapshot;
+    /// 2. replay the records past the base, stopping at the first that
+    ///    fails;
+    /// 3. cut the WAL in place to the end of the last record that
+    ///    recovered. An intact WAL that replayed in full is left
+    ///    untouched.
     ///
     /// # Errors
     ///
@@ -176,122 +179,92 @@ impl SessionEntry {
         let cmds = rec.journal.commands();
         // `edit` only ever appears as a journal head, so *first record
         // is `edit`* ⇔ *full-history WAL* (vs. compacted tail).
-        if let Some(Command::Edit { cell }) = cmds.first() {
-            // Fast path: an intact snapshot consistent with this WAL
-            // means only the records past it replay through the engine.
-            if let SnapLoad::Loaded {
-                covered,
-                lib: slib,
-                cp,
-            } = load_snapshot(root, name)
-            {
-                if covered >= 1 && covered <= cmds.len() && cp.journal().commands().len() == covered
-                {
-                    if let Ok((lib2, cp2, tail_ok)) =
-                        resume_and_replay(*slib, *cp, &cmds[covered..])
-                    {
-                        reg.counter("serve.recovery.snapshot_loads").inc();
-                        reg.counter("serve.recovery.replayed_records")
-                            .add(tail_ok as u64);
-                        let total = covered + tail_ok;
-                        return finish_recovery(
-                            name,
-                            path,
-                            lib2,
-                            cp2,
-                            &cmds[..total],
-                            total,
-                            covered,
-                            truncated,
-                        );
-                    }
-                    // A snapshot that will not resume is as good as
-                    // corrupt — fall through to the full replay.
-                    reg.counter("serve.recovery.snapshot_corrupt").inc();
+        let head = match cmds.first() {
+            Some(Command::Edit { cell }) => Some(cell),
+            _ => None,
+        };
+
+        // 1 + 2, snapshot base (`Ok(None)` when there is none). A full
+        // WAL repeats the snapshot's `covered` records; a compacted one
+        // starts past them.
+        let from_snapshot = load_snapshot(root, name)
+            .map_err(|e| e.to_string())
+            .and_then(|found| {
+                let Some((covered, slib, cp)) = found else {
+                    return Ok(None);
+                };
+                let past = if head.is_some() { covered } else { 0 };
+                let held = cp.journal().commands().len();
+                if covered == 0 || held != covered || past > cmds.len() {
+                    return Err(format!(
+                        "it covers {covered} records, its journal holds {held}, the WAL {}",
+                        cmds.len()
+                    ));
                 }
+                let replayed = resume_and_replay(slib, cp, &cmds[past..])?;
+                Ok(Some((replayed, covered, past)))
+            });
+        if from_snapshot.is_err() {
+            reg.counter("serve.recovery.snapshot_corrupt").inc();
+        }
+        // 1 + 2, fallback: the `edit` head, every record past it.
+        let ((lib, cp, replayed), snap_covered, past) = match (from_snapshot, head) {
+            (Ok(Some(found)), _) => {
+                reg.counter("serve.recovery.snapshot_loads").inc();
+                found
             }
-            // Fallback: full-history replay. Every record past the head
-            // goes through the one transactional entry point. A record
-            // that fails to replay (leaf cells changed shape since the
-            // WAL was written, say) truncates the durable state at the
-            // last good record — the same discipline recover_wal
-            // applies to corrupt bytes.
-            reg.counter("serve.recovery.full_replay").inc();
-            let cell = cell.clone();
-            let mut lib = lib;
-            let mut replayed = 1usize;
-            let cp = {
-                let mut ed =
-                    Editor::open(&mut lib, &cell).map_err(|e| format!("recovered head: {e}"))?;
-                for cmd in &cmds[1..] {
-                    match ed.execute(cmd.clone()) {
-                        Ok(_) => replayed += 1,
-                        Err(e) => {
-                            reg.counter("serve.recovery.replay_stopped").inc();
-                            let _ = e;
-                            break;
-                        }
-                    }
-                }
-                ed.suspend()
-            };
-            reg.counter("serve.recovery.replayed_records")
-                .add((replayed - 1) as u64);
-            finish_recovery(
-                name,
-                path,
-                lib,
-                cp,
-                &cmds[..replayed],
-                replayed,
-                0,
-                truncated,
-            )
-        } else {
-            // Compacted WAL: the `edit` head (and everything up to
-            // `covered`) lives only in the snapshot, which compaction
-            // guarantees was durable first. Every file record replays
-            // on top of it.
-            match load_snapshot(root, name) {
-                SnapLoad::Loaded {
-                    covered,
-                    lib: slib,
-                    cp,
-                } => {
-                    if cp.journal().commands().len() != covered {
-                        return Err(format!(
-                            "snapshot for {} covers {covered} records but its journal holds {}",
-                            path.display(),
-                            cp.journal().commands().len(),
-                        ));
-                    }
-                    let (lib2, cp2, tail_ok) = resume_and_replay(*slib, *cp, cmds)
-                        .map_err(|e| format!("snapshot for {}: {e}", path.display()))?;
-                    reg.counter("serve.recovery.snapshot_loads").inc();
-                    reg.counter("serve.recovery.replayed_records")
-                        .add(tail_ok as u64);
-                    finish_recovery(
-                        name,
-                        path,
-                        lib2,
-                        cp2,
-                        &cmds[..tail_ok],
-                        covered + tail_ok,
-                        covered,
-                        truncated,
-                    )
-                }
-                SnapLoad::Missing => Err(format!(
+            (_, Some(cell)) => {
+                reg.counter("serve.recovery.full_replay").inc();
+                let mut lib = lib;
+                let cp = Editor::open(&mut lib, cell)
+                    .map_err(|e| format!("recovered head: {e}"))?
+                    .suspend();
+                (resume_and_replay(lib, cp, &cmds[1..])?, 0, 1)
+            }
+            (Ok(None), None) => {
+                return Err(format!(
                     "WAL {} is compacted (no `edit` head, {} records) but no snapshot exists",
                     path.display(),
                     cmds.len(),
-                )),
-                SnapLoad::Corrupt(e) => Err(format!(
+                ))
+            }
+            (Err(e), None) => {
+                return Err(format!(
                     "WAL {} is compacted but its snapshot is unusable: {e}",
                     path.display(),
-                )),
+                ))
             }
-        }
+        };
+        reg.counter("serve.recovery.replayed_records")
+            .add(replayed as u64);
+
+        // 3: cut the WAL to the records that recovered.
+        let kept = past + replayed;
+        let end = match kept {
+            0 => WAL_MAGIC.len(),
+            k => rec.record_ends[k - 1],
+        };
+        let wal = reopen_cut(&path, bytes.starts_with(WAL_MAGIC), end, bytes.len())
+            .map_err(|e| format!("cannot cut WAL {}: {e}", path.display()))?;
+        let durable = cp.journal().commands().len();
+        Ok((
+            SessionEntry {
+                name: name.to_owned(),
+                lib,
+                cp: Some(cp),
+                durable_records: durable,
+                last_touch: Instant::now(),
+                staged: Vec::new(),
+                staged_records: durable,
+                snap_covered,
+                wal,
+                path,
+            },
+            OpenKind::Recovered {
+                records: durable,
+                truncated,
+            },
+        ))
     }
 
     /// Opens a session: recover when its WAL exists, create otherwise.
@@ -328,8 +301,7 @@ impl SessionEntry {
         }
         let before = self.staged.len();
         for cmd in new {
-            self.staged
-                .extend_from_slice(&record_bytes(&command_to_line(cmd)));
+            encode_wal_record(&mut self.staged, cmd);
         }
         riot_trace::registry()
             .counter("serve.wal.staged_bytes")
@@ -456,11 +428,9 @@ impl SessionEntry {
     /// to disk. The caller drops the session afterwards; recovery on
     /// reopen truncates this record away.
     pub fn append_torn_record(&mut self, line: &str) {
-        let payload = line.as_bytes();
-        let mut buf = Vec::with_capacity(8 + payload.len() / 2);
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        buf.extend_from_slice(&payload[..payload.len() / 2]);
+        let mut buf = Vec::new();
+        let _ = record::encode(&mut buf, line.as_bytes());
+        buf.truncate(record::HEADER_LEN + line.len() / 2);
         let _ = self.wal.write_all(&buf);
         let _ = self.wal.flush();
         let _ = self.wal.sync_all();
@@ -483,8 +453,9 @@ impl SessionEntry {
     }
 }
 
-/// Resumes a snapshot's editor state and replays `tail` through the
-/// one transactional entry point, stopping (and counting
+/// The one replay loop: resumes a suspended editor — a snapshot's, or
+/// a fresh `edit` head's — and replays `tail` through the one
+/// transactional entry point, stopping (and counting
 /// `serve.recovery.replay_stopped`) at the first record that fails.
 /// Returns the rebuilt library, the re-suspended checkpoint, and how
 /// many tail records replayed.
@@ -496,64 +467,33 @@ fn resume_and_replay(
     let mut ed = Editor::resume(&mut lib, cp).map_err(|e| format!("resume failed: {e}"))?;
     let mut ok = 0usize;
     for cmd in tail {
-        match ed.execute(cmd.clone()) {
-            Ok(_) => ok += 1,
-            Err(e) => {
-                riot_trace::registry()
-                    .counter("serve.recovery.replay_stopped")
-                    .inc();
-                let _ = e;
-                break;
-            }
+        if ed.execute(cmd.clone()).is_err() {
+            riot_trace::registry()
+                .counter("serve.recovery.replay_stopped")
+                .inc();
+            break;
         }
+        ok += 1;
     }
     let cp = ed.suspend();
     Ok((lib, cp, ok))
 }
 
-/// Rewrites the WAL to exactly `file_records` (full layout when the
-/// slice starts with the `edit` head, compacted layout otherwise),
-/// fsyncs it, and assembles the recovered [`SessionEntry`].
-#[allow(clippy::too_many_arguments)]
-fn finish_recovery(
-    name: &str,
-    path: PathBuf,
-    lib: Library,
-    cp: Checkpoint,
-    file_records: &[Command],
-    durable: usize,
-    snap_covered: usize,
-    truncated: bool,
-) -> Result<(SessionEntry, OpenKind), String> {
-    let mut prefix = Journal::new();
-    for cmd in file_records {
-        prefix.record(cmd.clone());
+/// Reopens the WAL for append, cut to its first `end` of `len` bytes.
+/// A WAL that is already `end` bytes long is left untouched. A longer
+/// one is cut in place with `set_len` and synced. A file without the
+/// magic holds nothing recoverable and restarts as a bare magic.
+fn reopen_cut(path: &Path, has_magic: bool, end: usize, len: usize) -> io::Result<File> {
+    let mut wal = OpenOptions::new().append(true).open(path)?;
+    if !has_magic {
+        wal.set_len(0)?;
+        wal.write_all(WAL_MAGIC)?;
+        fsync_file(&mut wal)?;
+    } else if end < len {
+        wal.set_len(end as u64)?;
+        fsync_file(&mut wal)?;
     }
-    std::fs::write(&path, prefix.to_wal())
-        .map_err(|e| format!("cannot rewrite WAL {}: {e}", path.display()))?;
-    let mut wal = OpenOptions::new()
-        .append(true)
-        .open(&path)
-        .map_err(|e| format!("cannot reopen WAL {}: {e}", path.display()))?;
-    fsync_file(&mut wal).map_err(|e| format!("cannot sync WAL {}: {e}", path.display()))?;
-    Ok((
-        SessionEntry {
-            name: name.to_owned(),
-            lib,
-            cp: Some(cp),
-            durable_records: durable,
-            last_touch: Instant::now(),
-            staged: Vec::new(),
-            staged_records: durable,
-            snap_covered,
-            wal,
-            path,
-        },
-        OpenKind::Recovered {
-            records: durable,
-            truncated,
-        },
-    ))
+    Ok(wal)
 }
 
 /// The one instrumented fsync: every WAL fsync the server issues lands
@@ -567,17 +507,6 @@ fn fsync_file(f: &mut File) -> io::Result<()> {
         .record(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
     reg.counter("serve.wal.fsyncs").inc();
     Ok(())
-}
-
-/// One WAL record for `line`: `u32` LE length, `u32` LE CRC-32,
-/// payload — identical to [`Journal::to_wal`]'s per-record form.
-fn record_bytes(line: &str) -> Vec<u8> {
-    let payload = line.as_bytes();
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
 }
 
 /// Executes one wire command line against a resumed editor, mapping
@@ -674,9 +603,119 @@ mod tests {
         let wal_file = entry2.path().to_path_buf();
         let ed = Editor::resume(&mut entry2.lib, entry2.cp.take().unwrap()).unwrap();
         assert_eq!(ed.instances().len(), 1, "only the acknowledged command");
-        // And the rewritten file is now clean.
+        // And the file, cut in place, is now clean.
         let bytes = std::fs::read(&wal_file).unwrap();
         assert!(Journal::recover_wal(&bytes).is_clean());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn recovering_an_intact_wal_leaves_it_untouched() {
+        use std::os::unix::fs::MetadataExt;
+        let root = tmp_root("intact");
+        let (mut entry, _) = SessionEntry::open(&root, "in", "TOP", standard_library()).unwrap();
+        {
+            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
+            execute_line(&mut ed, "create nand2 A").unwrap();
+            entry.cp = Some(ed.suspend());
+        }
+        entry.sync_all().unwrap();
+        let path = entry.path().to_path_buf();
+        drop(entry);
+        // Backdate the file so any rewrite would show in its mtime.
+        let old = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 20);
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(old)
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let inode = std::fs::metadata(&path).unwrap().ino();
+
+        let (entry2, kind) = SessionEntry::open(&root, "in", "TOP", standard_library()).unwrap();
+        assert_eq!(
+            kind,
+            OpenKind::Recovered {
+                records: 2,
+                truncated: false
+            }
+        );
+        let meta = std::fs::metadata(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "same bytes");
+        assert_eq!(meta.ino(), inode, "same file");
+        assert_eq!(meta.modified().unwrap(), old, "never written");
+        drop(entry2);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_wal_whose_replay_stops_early_ends_at_its_last_kept_record() {
+        let root = tmp_root("cut");
+        let path = wal_path(&root, "cut");
+        let mut journal = Journal::new();
+        for line in [
+            "edit TOP",
+            "create nand2 A",
+            "translate NOPE 10 0",
+            "create nand2 B",
+        ] {
+            journal.record(riot_core::parse_command_line(line, 0).unwrap());
+        }
+        let bytes = journal.to_wal();
+        std::fs::write(&path, &bytes).unwrap();
+        // `translate NOPE` is intact on disk but names no instance.
+        let kept = Journal::recover_wal(&bytes).record_ends[1];
+
+        let (mut entry, kind) =
+            SessionEntry::open(&root, "cut", "TOP", standard_library()).unwrap();
+        assert_eq!(
+            kind,
+            OpenKind::Recovered {
+                records: 2,
+                truncated: false
+            }
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), &bytes[..kept]);
+        // The cut WAL takes appends where it now ends.
+        {
+            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
+            execute_line(&mut ed, "create nand2 C").unwrap();
+            entry.cp = Some(ed.suspend());
+        }
+        entry.sync_all().unwrap();
+        drop(entry);
+        let (_, kind) = SessionEntry::open(&root, "cut", "TOP", standard_library()).unwrap();
+        assert!(matches!(kind, OpenKind::Recovered { records: 3, .. }));
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_wal_without_its_magic_restarts_behind_the_snapshot() {
+        let root = tmp_root("magic");
+        let faults = crate::fault::ServeFaults::none();
+        let (mut entry, _) = SessionEntry::open(&root, "mg", "TOP", standard_library()).unwrap();
+        {
+            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
+            execute_line(&mut ed, "create nand2 A").unwrap();
+            entry.cp = Some(ed.suspend());
+        }
+        entry.sync_all().unwrap();
+        assert!(entry.snapshot_now(&root, &faults));
+        let path = entry.path().to_path_buf();
+        drop(entry);
+        std::fs::write(&path, b"NOTAWAL!").unwrap();
+
+        let (entry2, kind) = SessionEntry::open(&root, "mg", "TOP", standard_library()).unwrap();
+        assert_eq!(
+            kind,
+            OpenKind::Recovered {
+                records: 2,
+                truncated: true
+            }
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), WAL_MAGIC, "a fresh magic");
+        drop(entry2);
         let _ = std::fs::remove_dir_all(root);
     }
 

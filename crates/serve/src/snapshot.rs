@@ -7,10 +7,13 @@
 //! "RIOTSNAP1"            9-byte magic
 //! u64 LE covered         journal records the snapshot covers
 //!                        (including the `edit` head)
-//! u32 LE payload length
-//! u32 LE CRC-32          IEEE, over the payload only
-//! payload                riot_core::encode_session bytes
+//! one record             riot_core::record: u32 LE payload length,
+//!                        u32 LE CRC-32, then the
+//!                        riot_core::encode_session bytes
 //! ```
+//!
+//! The record is the one the WAL and the wire use, read and written by
+//! the same [`riot_core::record`] code.
 //!
 //! # Durability protocol
 //!
@@ -39,10 +42,15 @@
 //! | compacted  | torn/bad    | unrecoverable — reported honestly       |
 //!
 //! The last row cannot happen without bytes rotting on disk: compaction
-//! only runs after the covering snapshot is durable.
+//! only runs after the covering snapshot is durable. "Intact" also
+//! means consistent: the snapshot's journal holds `covered` records,
+//! a full WAL holds at least that many, and the editor resumes from it.
+//! [`crate::session::SessionEntry::recover`] walks this table as one
+//! sequence: pick the base, replay the records past it, cut the WAL.
 
 use crate::fault::ServeFaults;
-use riot_core::{crc32, decode_session, Checkpoint, Library, FAULT_SERVE_SNAPSHOT_WRITE};
+use riot_core::record::{self, RecordCorruption};
+use riot_core::{decode_session, Checkpoint, Library, FAULT_SERVE_SNAPSHOT_WRITE};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Write};
@@ -50,9 +58,6 @@ use std::path::{Path, PathBuf};
 
 /// Magic header opening a session snapshot file.
 pub const SNAP_MAGIC: &[u8; 9] = b"RIOTSNAP1";
-
-/// Fixed bytes before the payload: magic, covered count, length, CRC.
-const HEADER_LEN: usize = SNAP_MAGIC.len() + 8 + 4 + 4;
 
 /// Where a session's snapshot file lives.
 pub fn snap_path(root: &Path, session: &str) -> PathBuf {
@@ -64,12 +69,8 @@ pub fn snap_path(root: &Path, session: &str) -> PathBuf {
 pub enum SnapshotError {
     /// The file could not be read.
     Io(String),
-    /// The file does not start with [`SNAP_MAGIC`].
-    BadMagic,
-    /// The file ends before the declared payload does (torn write).
-    Torn,
-    /// The payload CRC-32 does not match the header.
-    BadCrc,
+    /// The framing is damaged: bad magic, torn, or a failed CRC.
+    Record(RecordCorruption),
     /// The payload failed to decode as a session.
     Decode(String),
 }
@@ -78,29 +79,10 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Io(e) => write!(f, "cannot read snapshot: {e}"),
-            SnapshotError::BadMagic => write!(f, "not a RIOTSNAP1 file"),
-            SnapshotError::Torn => write!(f, "snapshot is torn (truncated payload)"),
-            SnapshotError::BadCrc => write!(f, "snapshot payload fails its CRC"),
+            SnapshotError::Record(c) => write!(f, "snapshot framing: {c}"),
             SnapshotError::Decode(e) => write!(f, "snapshot payload does not decode: {e}"),
         }
     }
-}
-
-/// The fixed header that precedes `payload` on disk.
-fn snapshot_header(covered: u64, payload: &[u8]) -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[..9].copy_from_slice(SNAP_MAGIC);
-    h[9..17].copy_from_slice(&covered.to_le_bytes());
-    h[17..21].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    h[21..25].copy_from_slice(&crc32(payload).to_le_bytes());
-    h
-}
-
-/// Frames `payload` into the on-disk snapshot layout.
-pub fn frame_snapshot(covered: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = snapshot_header(covered, payload).to_vec();
-    out.extend_from_slice(payload);
-    out
 }
 
 /// Validates the framing of snapshot `bytes` and returns
@@ -108,25 +90,16 @@ pub fn frame_snapshot(covered: u64, payload: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::BadMagic`], [`SnapshotError::Torn`] (file shorter
-/// than the declared payload) or [`SnapshotError::BadCrc`].
+/// [`SnapshotError::Record`] with the magic, header or payload damage.
 pub fn parse_snapshot(bytes: &[u8]) -> Result<(u64, &[u8]), SnapshotError> {
-    if bytes.len() < SNAP_MAGIC.len() || &bytes[..SNAP_MAGIC.len()] != SNAP_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::Torn);
-    }
-    let covered = u64::from_le_bytes(bytes[9..17].try_into().unwrap());
-    let len = u32::from_le_bytes(bytes[17..21].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[21..25].try_into().unwrap());
-    let Some(payload) = bytes.get(HEADER_LEN..HEADER_LEN + len) else {
-        return Err(SnapshotError::Torn);
+    let Some(rest) = bytes.strip_prefix(SNAP_MAGIC) else {
+        return Err(SnapshotError::Record(RecordCorruption::BadMagic));
     };
-    if crc32(payload) != crc {
-        return Err(SnapshotError::BadCrc);
-    }
-    Ok((covered, payload))
+    let Some((covered, rest)) = rest.split_first_chunk::<8>() else {
+        return Err(SnapshotError::Record(RecordCorruption::TornHeader));
+    };
+    let (payload, _) = record::scan_eof(rest, None).map_err(SnapshotError::Record)?;
+    Ok((u64::from_le_bytes(*covered), payload))
 }
 
 /// Writes a snapshot atomically: temp file, fsync, rename, directory
@@ -148,7 +121,9 @@ pub fn write_snapshot(
     faults: &ServeFaults,
 ) -> io::Result<()> {
     let reg = riot_trace::registry();
-    let header = snapshot_header(covered, payload);
+    let mut header = SNAP_MAGIC.to_vec();
+    header.extend_from_slice(&covered.to_le_bytes());
+    header.extend_from_slice(&record::header(payload).map_err(io::Error::other)?);
     let final_path = snap_path(root, session);
     if faults.should_inject(FAULT_SERVE_SNAPSHOT_WRITE) {
         // A torn write straight over the final path: everything up to
@@ -170,7 +145,7 @@ pub fn write_snapshot(
     sync_dir(root);
     reg.counter("serve.snapshot.written").inc();
     reg.counter("serve.snapshot.bytes")
-        .add((HEADER_LEN + payload.len()) as u64);
+        .add((header.len() + payload.len()) as u64);
     Ok(())
 }
 
@@ -181,74 +156,48 @@ pub(crate) fn sync_dir(dir: &Path) {
     }
 }
 
-/// The outcome of looking for a session's snapshot.
-#[derive(Debug)]
-pub enum SnapLoad {
-    /// No snapshot file exists.
-    Missing,
-    /// An intact snapshot was decoded.
-    Loaded {
-        /// Journal records the snapshot covers (incl. the `edit` head).
-        covered: usize,
-        /// The library at snapshot time.
-        lib: Box<Library>,
-        /// The suspended session at snapshot time.
-        cp: Box<Checkpoint>,
-    },
-    /// A snapshot file exists but cannot be used.
-    Corrupt(SnapshotError),
-}
-
-/// Loads `session`'s snapshot, if any. A corrupt snapshot is counted
-/// (`serve.recovery.snapshot_corrupt`) and reported, never trusted; an
-/// intact one counts `serve.recovery.snapshot_loaded`.
-pub fn load_snapshot(root: &Path, session: &str) -> SnapLoad {
-    let path = snap_path(root, session);
-    let bytes = match std::fs::read(&path) {
+/// Loads `session`'s snapshot: the journal records it covers
+/// (including the `edit` head), the library and the suspended session
+/// at snapshot time — `None` when there is no snapshot. Counts nothing:
+/// recovery decides whether a loaded snapshot is usable.
+///
+/// # Errors
+///
+/// A snapshot file that cannot be read, framed or decoded.
+pub fn load_snapshot(
+    root: &Path,
+    session: &str,
+) -> Result<Option<(usize, Library, Checkpoint)>, SnapshotError> {
+    let bytes = match std::fs::read(snap_path(root, session)) {
         Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return SnapLoad::Missing,
-        Err(e) => {
-            riot_trace::registry()
-                .counter("serve.recovery.snapshot_corrupt")
-                .inc();
-            return SnapLoad::Corrupt(SnapshotError::Io(e.to_string()));
-        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(SnapshotError::Io(e.to_string())),
     };
-    let parsed = parse_snapshot(&bytes)
-        .and_then(|(covered, payload)| {
-            decode_session(payload)
-                .map(|(lib, cp)| (covered, lib, cp))
-                .map_err(|e| SnapshotError::Decode(e.to_string()))
-        })
-        .map(|(covered, lib, cp)| SnapLoad::Loaded {
-            covered: covered as usize,
-            lib: Box::new(lib),
-            cp: Box::new(cp),
-        });
-    match parsed {
-        Ok(loaded) => {
-            riot_trace::registry()
-                .counter("serve.recovery.snapshot_loaded")
-                .inc();
-            loaded
-        }
-        Err(e) => {
-            riot_trace::registry()
-                .counter("serve.recovery.snapshot_corrupt")
-                .inc();
-            SnapLoad::Corrupt(e)
-        }
-    }
+    let (covered, payload) = parse_snapshot(&bytes)?;
+    let (lib, cp) = decode_session(payload).map_err(|e| SnapshotError::Decode(e.to_string()))?;
+    Ok(Some((
+        usize::try_from(covered).unwrap_or(usize::MAX),
+        lib,
+        cp,
+    )))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The on-disk bytes for `payload`: magic, `covered`, one record.
+    fn snapshot_bytes(covered: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = SNAP_MAGIC.to_vec();
+        out.extend_from_slice(&covered.to_le_bytes());
+        record::encode(&mut out, payload).unwrap();
+        out
+    }
+
     #[test]
     fn frame_and_parse_round_trip() {
         let payload = b"not a real session, framing only";
-        let bytes = frame_snapshot(42, payload);
+        let bytes = snapshot_bytes(42, payload);
         let (covered, p) = parse_snapshot(&bytes).unwrap();
         assert_eq!(covered, 42);
         assert_eq!(p, payload);
@@ -257,22 +206,29 @@ mod tests {
     #[test]
     fn torn_and_corrupt_framing_are_detected() {
         let payload = b"payload bytes";
-        let bytes = frame_snapshot(7, payload);
+        let bytes = snapshot_bytes(7, payload);
         assert_eq!(
             parse_snapshot(b"RIOTWAL1xxxx"),
-            Err(SnapshotError::BadMagic)
+            Err(SnapshotError::Record(RecordCorruption::BadMagic))
         );
         for len in SNAP_MAGIC.len()..bytes.len() {
-            assert_eq!(
-                parse_snapshot(&bytes[..len]),
-                Err(SnapshotError::Torn),
+            assert!(
+                matches!(
+                    parse_snapshot(&bytes[..len]),
+                    Err(SnapshotError::Record(
+                        RecordCorruption::TornHeader | RecordCorruption::TornPayload { .. }
+                    ))
+                ),
                 "prefix {len}"
             );
         }
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
-        assert_eq!(parse_snapshot(&flipped), Err(SnapshotError::BadCrc));
+        assert!(matches!(
+            parse_snapshot(&flipped),
+            Err(SnapshotError::Record(RecordCorruption::BadChecksum { .. }))
+        ));
     }
 
     #[test]
@@ -286,7 +242,13 @@ mod tests {
         let err = write_snapshot(&dir, "s", 9, &payload, &faults).unwrap_err();
         assert!(err.to_string().contains("fault injected"));
         let bytes = std::fs::read(snap_path(&dir, "s")).unwrap();
-        assert_eq!(parse_snapshot(&bytes), Err(SnapshotError::Torn));
+        assert_eq!(
+            parse_snapshot(&bytes),
+            Err(SnapshotError::Record(RecordCorruption::TornPayload {
+                expected: 64,
+                available: 32
+            }))
+        );
         // A later, healthy write replaces the torn file atomically.
         write_snapshot(&dir, "s", 9, &payload, &faults).unwrap();
         let bytes = std::fs::read(snap_path(&dir, "s")).unwrap();

@@ -5,9 +5,9 @@
 //! clean close once a drain begins.
 
 use proptest::prelude::*;
+use riot_core::record;
 use riot_serve::{
-    encode_frame, ConnEvent, Connection, Reply, ReplyBody, Request, RequestBody, RequestRef,
-    SRV_MAGIC_V2,
+    ConnEvent, Connection, Reply, ReplyBody, Request, RequestBody, RequestRef, SRV_MAGIC_V2,
 };
 use std::collections::VecDeque;
 
@@ -20,7 +20,7 @@ fn ping_wire(n: usize) -> Vec<u8> {
             id,
             body: RequestBody::Ping,
         };
-        wire.extend_from_slice(&encode_frame(&req.encode(None)));
+        record::encode(&mut wire, &req.encode(None)).unwrap();
     }
     wire
 }

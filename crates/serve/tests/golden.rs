@@ -6,9 +6,10 @@
 //! pins the wire format: if the codec drifts, these bytes stop
 //! decoding — and that is a protocol break, not a refactor.
 
+use riot_core::record::{self, Scan};
 use riot_serve::{
-    scan_frame_ref, Bind, FrameScanRef, Reply, ReplyBody, Request, RequestBody, RequestRef,
-    ServeConfig, Server, Stream, SRV_MAGIC_V2,
+    Bind, Reply, ReplyBody, Request, RequestBody, RequestRef, ServeConfig, Server, Stream,
+    MAX_FRAME_PAYLOAD, SRV_MAGIC_V2,
 };
 use std::io::{Read, Write};
 
@@ -72,17 +73,19 @@ fn fixture_decodes_to_the_canonical_session() {
     let mut rest = &FIXTURE[8..];
     let mut decoded = Vec::new();
     while !rest.is_empty() {
-        match scan_frame_ref(rest) {
-            FrameScanRef::Complete { payload, consumed } => {
+        match record::scan(rest, Some(MAX_FRAME_PAYLOAD)) {
+            Scan::Complete { payload, consumed } => {
                 let (req, trace) = RequestRef::decode(payload).expect("fixture frame decodes");
                 assert_eq!(trace, None, "fixture requests carry no trace context");
-                decoded.push(req.to_owned());
+                decoded.push((req.id, req.body));
                 rest = &rest[consumed..];
             }
             other => panic!("fixture has a non-frame region: {other:?}"),
         }
     }
-    assert_eq!(decoded, expected_requests());
+    let expected = expected_requests();
+    let expected: Vec<_> = expected.iter().map(|r| (r.id, r.body.view())).collect();
+    assert_eq!(decoded, expected);
 }
 
 /// Re-encoding the decoded requests reproduces the fixture **byte for
@@ -91,7 +94,7 @@ fn fixture_decodes_to_the_canonical_session() {
 fn fixture_re_encodes_byte_identically() {
     let mut rebuilt = SRV_MAGIC_V2.to_vec();
     for req in expected_requests() {
-        rebuilt.extend_from_slice(&riot_serve::encode_frame(&req.encode(None)));
+        record::encode(&mut rebuilt, &req.encode(None)).unwrap();
     }
     assert_eq!(
         rebuilt, FIXTURE,
@@ -127,8 +130,8 @@ fn fixture_replays_against_a_live_server() {
     let mut replies = Vec::new();
     let mut rest = &bytes[..];
     while !rest.is_empty() {
-        match scan_frame_ref(rest) {
-            FrameScanRef::Complete { payload, consumed } => {
+        match record::scan(rest, Some(MAX_FRAME_PAYLOAD)) {
+            Scan::Complete { payload, consumed } => {
                 replies.push(Reply::decode(payload).expect("reply decodes"));
                 rest = &rest[consumed..];
             }

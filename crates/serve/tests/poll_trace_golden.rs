@@ -8,10 +8,11 @@
 //! the file byte-for-byte. Regenerate with the `#[ignore]` test below
 //! after a deliberate protocol change.
 
+use riot_core::record;
 use riot_serve::conn::to_hex;
 use riot_serve::{
-    encode_frame, ConnEvent, Connection, Reply, ReplyBody, Request, RequestBody, RequestBodyRef,
-    RequestRef, TraceEvent, SRV_MAGIC_V2,
+    ConnEvent, Connection, Reply, ReplyBody, Request, RequestBody, RequestBodyRef, RequestRef,
+    TraceEvent, SRV_MAGIC_V2,
 };
 use std::path::PathBuf;
 
@@ -29,6 +30,13 @@ fn request_text(body: &RequestBodyRef<'_>) -> String {
         RequestBodyRef::Ping => "ping".to_owned(),
         other => format!("{other:?}"),
     }
+}
+
+/// One wire frame around `payload`.
+fn frame_of(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    record::encode(&mut out, payload).expect("frame fits");
+    out
 }
 
 fn reply_text(body: &ReplyBody) -> String {
@@ -138,7 +146,7 @@ fn replayed_trace() -> Vec<TraceEvent> {
             cell: "TOP".into(),
         },
     };
-    let frame = encode_frame(&open.encode(None));
+    let frame = frame_of(&open.encode(None));
     step(
         &mut c,
         &mut ev,
@@ -158,7 +166,7 @@ fn replayed_trace() -> Vec<TraceEvent> {
             line: "create nand2 A".into(),
         },
     };
-    let frame = encode_frame(&cmd.encode(None));
+    let frame = frame_of(&cmd.encode(None));
     let (head, tail) = frame.split_at(13);
     step(
         &mut c,
@@ -175,7 +183,7 @@ fn replayed_trace() -> Vec<TraceEvent> {
         id: 3,
         body: RequestBody::Ping,
     };
-    let frame = encode_frame(&ping.encode(None));
+    let frame = frame_of(&ping.encode(None));
     step(
         &mut c,
         &mut ev,

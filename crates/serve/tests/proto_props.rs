@@ -1,13 +1,102 @@
-//! Property tests for the `RIOTSRV2` frame and message codecs: every
-//! payload round-trips, every torn tail and every bit flip decodes to
-//! a clean [`FrameCorruption`] — never a panic, never silent garbage.
+//! Property tests for the one record codec ([`riot_core::record`]) in
+//! each of its three framings — `RIOTSRV2` wire frames, `RIOTWAL1`
+//! journals and `RIOTSNAP1` snapshots, each read by its format's own
+//! reader — and for the wire's message codecs. Every payload
+//! round-trips; every truncation is incomplete or torn; every flipped
+//! payload bit is a bad checksum; an oversize length is refused before
+//! its payload arrives. Never a panic, never silent garbage.
 
 use proptest::prelude::*;
+use riot_core::record::{self, RecordCorruption, Scan, HEADER_LEN};
+use riot_core::{command_to_line, Journal, WalCorruption, WAL_MAGIC};
+use riot_serve::conn::to_hex;
 use riot_serve::{
-    decode_frame_eof, encode_frame, scan_frame_ref, valid_session_name, FrameCorruption,
-    FrameScanRef, Reply, ReplyBody, Request, RequestBody, RequestRef,
+    parse_snapshot, valid_session_name, Reply, ReplyBody, Request, RequestBody, RequestRef,
+    SnapshotError, MAX_FRAME_PAYLOAD, SNAP_MAGIC,
 };
 use riot_trace::TraceContext;
+
+/// Where a record lives.
+#[derive(Debug, Clone, Copy)]
+enum Framing {
+    /// A frame on an established connection: no prefix, 1 MiB cap.
+    Wire,
+    /// A write-ahead journal: the magic, then one record per command.
+    Wal,
+    /// A snapshot file: the magic, the covered count, one record.
+    Snapshot,
+}
+
+/// The `covered` count every test snapshot carries.
+const COVERED: u64 = 7;
+
+impl Framing {
+    /// The payload this framing carries for `raw`: the bytes
+    /// themselves, except that a WAL record holds a command line.
+    fn payload(self, raw: &[u8]) -> Vec<u8> {
+        match self {
+            Framing::Wal => format!("create nand2 x{}", to_hex(raw)).into_bytes(),
+            Framing::Wire | Framing::Snapshot => raw.to_vec(),
+        }
+    }
+
+    /// The bytes before the record.
+    fn prefix(self) -> Vec<u8> {
+        match self {
+            Framing::Wire => Vec::new(),
+            Framing::Wal => WAL_MAGIC.to_vec(),
+            Framing::Snapshot => [&SNAP_MAGIC[..], &COVERED.to_le_bytes()].concat(),
+        }
+    }
+
+    /// The length cap the format's reader passes the scanner.
+    fn cap(self) -> Option<usize> {
+        match self {
+            Framing::Wire => Some(MAX_FRAME_PAYLOAD),
+            Framing::Wal | Framing::Snapshot => None,
+        }
+    }
+
+    /// The whole input: prefix, then `payload` as one record.
+    fn bytes(self, payload: &[u8]) -> Vec<u8> {
+        let mut out = self.prefix();
+        record::encode(&mut out, payload).unwrap();
+        out
+    }
+
+    /// Reads the one record back through the format's own reader.
+    fn read(self, bytes: &[u8]) -> Result<Vec<u8>, RecordCorruption> {
+        match self {
+            Framing::Wire => record::scan_eof(bytes, self.cap()).map(|(p, _)| p.to_vec()),
+            Framing::Wal => {
+                let rec = Journal::recover_wal(bytes);
+                match rec.corruption {
+                    None => Ok(rec
+                        .journal
+                        .commands()
+                        .iter()
+                        .map(command_to_line)
+                        .collect::<String>()
+                        .into_bytes()),
+                    Some(WalCorruption::Record(c)) => Err(c),
+                    Some(WalCorruption::BadPayload(m)) => panic!("WAL payload is no command: {m}"),
+                }
+            }
+            Framing::Snapshot => match parse_snapshot(bytes) {
+                Ok((covered, p)) => {
+                    assert_eq!(covered, COVERED);
+                    Ok(p.to_vec())
+                }
+                Err(SnapshotError::Record(c)) => Err(c),
+                Err(other) => panic!("snapshot framing failed oddly: {other}"),
+            },
+        }
+    }
+}
+
+fn arb_framing() -> impl Strategy<Value = Framing> {
+    prop::sample::select(vec![Framing::Wire, Framing::Wal, Framing::Snapshot])
+}
 
 /// Arbitrary binary payload (up to 200 bytes, full byte range).
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
@@ -32,49 +121,85 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn frame_round_trips(payload in arb_payload()) {
-        let frame = encode_frame(&payload);
-        let (back, consumed) = decode_frame_eof(&frame).expect("intact frame decodes");
-        prop_assert_eq!(back, payload);
-        prop_assert_eq!(consumed, frame.len());
+    fn frame_round_trips(raw in arb_payload(), framing in arb_framing()) {
+        for raw in [&raw[..], &[]] {
+            let payload = framing.payload(raw);
+            prop_assert_eq!(framing.read(&framing.bytes(&payload)), Ok(payload));
+        }
     }
 
     #[test]
-    fn torn_tails_decode_to_clean_errors(payload in arb_payload(), cut in 0usize..200) {
-        let frame = encode_frame(&payload);
-        let cut = cut % frame.len().max(1);
-        if cut == frame.len() {
-            return Ok(());
-        }
-        let torn = &frame[..cut];
-        match decode_frame_eof(torn) {
-            Err(FrameCorruption::TornHeader) => prop_assert!(cut < 8),
-            Err(FrameCorruption::TornPayload { expected, available }) => {
+    fn torn_tails_decode_to_clean_errors(
+        raw in arb_payload(),
+        cut in 0usize..400,
+        framing in arb_framing(),
+    ) {
+        let payload = framing.payload(&raw);
+        let bytes = framing.bytes(&payload);
+        // Keep the prefix and 1..record_len - 1 bytes of the record.
+        let head = framing.prefix().len();
+        let kept = 1 + cut % (bytes.len() - head - 1);
+        let torn = &bytes[..head + kept];
+        match framing.read(torn) {
+            Err(RecordCorruption::TornHeader) => prop_assert!(kept < HEADER_LEN),
+            Err(RecordCorruption::TornPayload { expected, available }) => {
                 prop_assert_eq!(expected, payload.len());
-                prop_assert_eq!(available, cut - 8);
+                prop_assert_eq!(available, kept - HEADER_LEN);
             }
-            other => prop_assert!(false, "torn frame decoded to {other:?}"),
+            other => prop_assert!(false, "torn record decoded to {other:?}"),
         }
         // The streaming scanner must agree that more bytes are needed
-        // (it cannot know the stream ended).
-        prop_assert_eq!(scan_frame_ref(torn), FrameScanRef::Incomplete);
+        // (it cannot know the input ended).
+        prop_assert_eq!(record::scan(&torn[head..], framing.cap()), Scan::Incomplete);
     }
 
     #[test]
     fn bit_flips_never_yield_the_original_decode(
-        payload in arb_payload(),
-        bit in 0usize..1600,
+        raw in arb_payload(),
+        bit in 0usize..3200,
+        framing in arb_framing(),
     ) {
-        let frame = encode_frame(&payload);
-        let bit = bit % (frame.len() * 8);
-        let mut flipped = frame.clone();
-        flipped[bit / 8] ^= 1 << (bit % 8);
-        // A flipped frame may decode (flips in the length field can
-        // re-frame the bytes) but must never reproduce the original
-        // payload as if nothing happened — CRC-32 catches every
-        // single-bit error over the region it covers.
-        if let Ok((back, _)) = decode_frame_eof(&flipped) {
+        let payload = framing.payload(&raw);
+        let mut flipped = framing.bytes(&payload);
+        let head = framing.prefix().len();
+        let at = head * 8 + bit % ((flipped.len() - head) * 8);
+        flipped[at / 8] ^= 1 << (at % 8);
+        let decoded = framing.read(&flipped);
+        if at / 8 >= head + HEADER_LEN {
+            // CRC-32 catches every single-bit error in the payload.
+            prop_assert!(
+                matches!(decoded, Err(RecordCorruption::BadChecksum { .. })),
+                "payload flip read as {decoded:?}"
+            );
+        } else if let Ok(back) = decoded {
+            // A flip in the length field may re-frame the bytes, but
+            // never reproduces the original payload.
             prop_assert_ne!(back, payload);
+        }
+    }
+
+    #[test]
+    fn oversize_length_is_refused_before_its_payload(
+        len in (MAX_FRAME_PAYLOAD as u32 + 1)..u32::MAX,
+        sent in 0usize..64,
+        framing in arb_framing(),
+    ) {
+        let mut bytes = framing.prefix();
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&[0xAB; 4]);
+        bytes.resize(bytes.len() + sent, 0);
+        let len = len as usize;
+        match framing.cap() {
+            // The wire refuses the header alone.
+            Some(max) => prop_assert_eq!(
+                record::scan(&bytes, Some(max)),
+                Scan::Corrupt(RecordCorruption::TooLarge { len, max })
+            ),
+            // A file has no cap: the length is only a promise it breaks.
+            None => prop_assert_eq!(
+                framing.read(&bytes),
+                Err(RecordCorruption::TornPayload { expected: len, available: sent })
+            ),
         }
     }
 
@@ -82,12 +207,12 @@ proptest! {
     fn frame_streams_scan_in_sequence(payloads in prop::collection::vec(arb_payload(), 1..6)) {
         let mut wire = Vec::new();
         for p in &payloads {
-            wire.extend_from_slice(&encode_frame(p));
+            record::encode(&mut wire, p).unwrap();
         }
         let mut off = 0usize;
         for expected in &payloads {
-            match scan_frame_ref(&wire[off..]) {
-                FrameScanRef::Complete { payload, consumed } => {
+            match record::scan(&wire[off..], Some(MAX_FRAME_PAYLOAD)) {
+                Scan::Complete { payload, consumed } => {
                     prop_assert_eq!(payload, &expected[..]);
                     off += consumed;
                 }
@@ -119,7 +244,7 @@ proptest! {
             let req = Request { id, body };
             let bytes = req.encode(trace);
             let (back, ctx) = RequestRef::decode(&bytes).expect("round trip");
-            prop_assert_eq!(back.to_owned(), req);
+            prop_assert_eq!((back.id, back.body), (req.id, req.body.view()));
             prop_assert_eq!(ctx, trace);
         }
     }
@@ -141,7 +266,9 @@ proptest! {
     fn request_decode_never_panics_on_garbage(bytes in arb_payload()) {
         let _ = RequestRef::decode(&bytes);
         let _ = Reply::decode(&bytes);
-        let _ = decode_frame_eof(&bytes);
-        let _ = scan_frame_ref(&bytes);
+        let _ = record::scan_eof(&bytes, Some(MAX_FRAME_PAYLOAD));
+        let _ = record::scan(&bytes, Some(MAX_FRAME_PAYLOAD));
+        let _ = Journal::recover_wal(&[Framing::Wal.prefix(), bytes.clone()].concat());
+        let _ = parse_snapshot(&[Framing::Snapshot.prefix(), bytes].concat());
     }
 }

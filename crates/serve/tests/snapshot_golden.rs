@@ -18,7 +18,7 @@
 //! with `cargo test -p riot-serve --test snapshot_golden -- --ignored`
 //! after such a break.
 
-use riot_core::parse_command_line;
+use riot_core::{parse_command_line, RecordCorruption};
 use riot_serve::{
     parse_snapshot, standard_library, wal_path, ServeFaults, SessionEntry, SnapshotError,
 };
@@ -114,9 +114,13 @@ static COUNTERS: Mutex<()> = Mutex::new(());
 #[test]
 fn torn_snapshot_fixture_falls_back_to_full_replay() {
     let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let header = 9 + 8 + 8;
     assert_eq!(
         parse_snapshot(TORN_SNAP),
-        Err(SnapshotError::Torn),
+        Err(SnapshotError::Record(RecordCorruption::TornPayload {
+            expected: SNAP.len() - header,
+            available: TORN_SNAP.len() - header,
+        })),
         "fixture is torn exactly as framed"
     );
     let reg = riot_trace::registry();
@@ -138,9 +142,11 @@ fn torn_snapshot_fixture_falls_back_to_full_replay() {
 #[test]
 fn bad_crc_snapshot_fixture_falls_back_to_full_replay() {
     let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    assert_eq!(
-        parse_snapshot(BADCRC_SNAP),
-        Err(SnapshotError::BadCrc),
+    assert!(
+        matches!(
+            parse_snapshot(BADCRC_SNAP),
+            Err(SnapshotError::Record(RecordCorruption::BadChecksum { .. }))
+        ),
         "fixture fails its CRC exactly as framed"
     );
     let reg = riot_trace::registry();

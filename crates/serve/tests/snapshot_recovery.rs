@@ -17,12 +17,12 @@
 
 use proptest::prelude::*;
 use riot_core::{
-    decode_session, encode_session, Editor, Journal, FAULT_SERVE_GROUP_FLUSH,
+    decode_session, encode_session, record, Editor, Journal, FAULT_SERVE_GROUP_FLUSH,
     FAULT_SERVE_SNAPSHOT_WRITE,
 };
 use riot_serve::{
-    frame_snapshot, parse_snapshot, standard_library, wal_path, Bind, Client, ServeConfig, Server,
-    SessionEntry,
+    parse_snapshot, standard_library, wal_path, Bind, Client, ServeConfig, Server, SessionEntry,
+    SNAP_MAGIC,
 };
 use std::time::Duration;
 
@@ -68,8 +68,10 @@ proptest! {
         };
         let payload = encode_session(&lib, &cp).expect("live session encodes");
 
-        // Framing round-trips.
-        let framed = frame_snapshot(7, &payload);
+        // Framing round-trips: magic, covered count, one record.
+        let mut framed = SNAP_MAGIC.to_vec();
+        framed.extend_from_slice(&7u64.to_le_bytes());
+        record::encode(&mut framed, &payload).unwrap();
         let (covered, parsed) = parse_snapshot(&framed).expect("own framing parses");
         prop_assert_eq!(covered, 7);
         prop_assert_eq!(parsed, &payload[..]);

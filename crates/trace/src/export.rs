@@ -1,5 +1,4 @@
-//! Exporters: human-readable summary, JSON lines, and Chrome
-//! `trace_event` JSON.
+//! Exporters: human-readable summary and Chrome `trace_event` JSON.
 //!
 //! All JSON is emitted by hand (the crate has zero dependencies); only
 //! span names and field keys — short static identifiers — and metric
@@ -112,65 +111,6 @@ pub fn summary() -> String {
             String::new()
         }
     );
-    out
-}
-
-fn span_json(r: &SpanRecord) -> String {
-    format!(
-        "{{\"type\":\"span\",\"name\":\"{}\",\"id\":{},\"parent\":{},\"trace\":{},\"thread\":{},\"start_ns\":{},\"dur_ns\":{},\"fields\":{}}}",
-        escape_json(r.name),
-        r.id,
-        r.parent,
-        r.trace,
-        r.thread,
-        r.start_ns,
-        r.dur_ns,
-        fields_json(&r.fields),
-    )
-}
-
-/// JSON-lines export: one object per buffered span, then one per
-/// counter/gauge/histogram. Machine-readable and diff-friendly.
-pub fn jsonl() -> String {
-    let mut out = String::new();
-    for r in recorder().snapshot() {
-        out.push_str(&span_json(&r));
-        out.push('\n');
-    }
-    let reg = registry();
-    for (name, v) in reg.counters() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{}}}",
-            escape_json(&name),
-            v
-        );
-    }
-    for (name, v) in reg.gauges() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
-            escape_json(&name),
-            v
-        );
-    }
-    for (name, h) in reg.histograms() {
-        if h.count() == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            escape_json(&name),
-            h.count(),
-            h.sum(),
-            h.min().unwrap_or(0),
-            h.max().unwrap_or(0),
-            h.p50().unwrap_or(0),
-            h.p95().unwrap_or(0),
-            h.p99().unwrap_or(0),
-        );
-    }
     out
 }
 

@@ -8,7 +8,9 @@
 //! deliberate simplifications: numbers are kept as `i128` (covering
 //! the full `u64` and `i64` ranges we emit; fractions and exponents
 //! are rejected) and `\uXXXX` escapes outside the BMP surrogate
-//! mechanism are decoded individually.
+//! mechanism are decoded individually. As RFC 8259 requires, a string
+//! may not hold a raw control character (U+0000–U+001F); those must be
+//! escaped.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -214,6 +216,12 @@ impl Parser<'_> {
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
+                0x00..=0x1f => {
+                    return Err(format!(
+                        "unescaped control character {b:#04x} in string at byte {}",
+                        self.pos - 1
+                    ))
+                }
                 b'\\' => {
                     let Some(esc) = self.peek() else {
                         return Err("unterminated escape".into());
@@ -360,6 +368,14 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("{} x").is_err());
         assert!(Value::parse("\"unterminated").is_err());
+        // RFC 8259: control characters inside strings must be escaped.
+        assert!(Value::parse("\"line\nbreak\"").is_err());
+        assert!(Value::parse("\"tab\there\"").is_err());
+        assert!(Value::parse("\"nul\u{0}\"").is_err());
+        assert_eq!(
+            Value::parse("\"line\\nbreak\"").unwrap(),
+            Value::Str("line\nbreak".into())
+        );
     }
 
     #[test]

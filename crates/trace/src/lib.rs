@@ -13,10 +13,9 @@
 //!   [`Histogram`]s with p50/p95/p99 estimation. All handles are
 //!   lock-free on the hot path (atomics); the registry lock is only
 //!   taken on first registration of a name.
-//! * **Exporters** ([`summary`], [`jsonl`], [`chrome_trace`]) — a
-//!   human-readable session summary, machine-readable JSON lines, and
-//!   Chrome `trace_event` JSON loadable in `chrome://tracing` or
-//!   [Perfetto](https://ui.perfetto.dev).
+//! * **Exporters** ([`summary`], [`chrome_trace`]) — a human-readable
+//!   session summary and Chrome `trace_event` JSON loadable in
+//!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //! * **Trace context** ([`TraceContext`], [`span_with_context`],
 //!   [`adopt`], [`complete_span`]) — explicit trace ids that follow a
 //!   logical operation across threads and, via the riot-serve wire
@@ -36,11 +35,10 @@
 //!
 //! # `RIOT_TRACE` environment hook
 //!
-//! `RIOT_TRACE=summary` prints the session summary to stderr when the
-//! instrumented application calls [`dump_from_env`] (the riot editor
-//! does so on drop); `RIOT_TRACE=jsonl:/path` and
-//! `RIOT_TRACE=chrome:/path.json` write the corresponding export to a
-//! file.
+//! `RIOT_TRACE=summary` (or `1`) prints the session summary to stderr
+//! when the instrumented application calls [`dump_from_env`] (the riot
+//! editor does so on drop); `RIOT_TRACE=chrome:/path.json` writes the
+//! Chrome trace to a file. Those are the only two sinks.
 //!
 //! # Example
 //!
@@ -70,7 +68,7 @@ pub mod recorder;
 pub mod span;
 
 pub use context::{adopt, current, fresh_trace_id, ContextGuard, TraceContext};
-pub use export::{chrome_trace, jsonl, summary};
+pub use export::{chrome_trace, summary};
 pub use expose::{json_snapshot, prometheus, sanitize_metric_name, Snapshot};
 pub use metrics::{registry, Counter, Gauge, Histogram, Registry};
 pub use recorder::{recorder, Recorder, SpanRecord};
@@ -102,8 +100,6 @@ pub fn enabled() -> bool {
 pub enum TraceSink {
     /// `RIOT_TRACE=summary`: human-readable summary to stderr.
     Summary,
-    /// `RIOT_TRACE=jsonl:/path`: JSON-lines export to a file.
-    Jsonl(String),
     /// `RIOT_TRACE=chrome:/path.json`: Chrome trace export to a file.
     Chrome(String),
 }
@@ -116,9 +112,6 @@ pub fn parse_sink(value: &str) -> Option<TraceSink> {
     }
     if v == "summary" || v == "1" {
         return Some(TraceSink::Summary);
-    }
-    if let Some(path) = v.strip_prefix("jsonl:") {
-        return Some(TraceSink::Jsonl(path.to_owned()));
     }
     if let Some(path) = v.strip_prefix("chrome:") {
         return Some(TraceSink::Chrome(path.to_owned()));
@@ -153,11 +146,6 @@ pub fn dump_from_env() -> Option<TraceSink> {
     let sink = env_sink()?;
     match sink {
         TraceSink::Summary => eprintln!("{}", summary()),
-        TraceSink::Jsonl(path) => {
-            if let Err(e) = std::fs::write(path, jsonl()) {
-                eprintln!("riot-trace: cannot write {path}: {e}");
-            }
-        }
         TraceSink::Chrome(path) => {
             if let Err(e) = std::fs::write(path, chrome_trace()) {
                 eprintln!("riot-trace: cannot write {path}: {e}");
@@ -192,6 +180,15 @@ macro_rules! span {
     }};
 }
 
+/// Serializes the unit tests that flip the global [`enable`] flag or
+/// count records in the global recorder; the test harness runs them on
+/// parallel threads.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,10 +196,8 @@ mod tests {
     #[test]
     fn sink_parsing() {
         assert_eq!(parse_sink("summary"), Some(TraceSink::Summary));
-        assert_eq!(
-            parse_sink("jsonl:/tmp/x.jsonl"),
-            Some(TraceSink::Jsonl("/tmp/x.jsonl".into()))
-        );
+        assert_eq!(parse_sink("1"), Some(TraceSink::Summary));
+        assert_eq!(parse_sink("jsonl:/tmp/x.jsonl"), None, "no JSON-lines sink");
         assert_eq!(
             parse_sink("chrome:/tmp/x.json"),
             Some(TraceSink::Chrome("/tmp/x.json".into()))
@@ -213,6 +208,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _g = test_lock();
         enable(false);
         let before = recorder().snapshot().len();
         {

@@ -244,11 +244,10 @@ impl std::fmt::Debug for Span {
 mod tests {
     use super::*;
 
-    /// Serializes the enable/disable tests in this module against each
-    /// other (global flag).
+    /// Runs `f` with tracing on, serialized against the crate's other
+    /// tests of the global flag.
     fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = LOCK.lock().unwrap();
+        let _g = crate::test_lock();
         crate::enable(true);
         let r = f();
         crate::enable(false);
@@ -370,6 +369,7 @@ mod tests {
 
     #[test]
     fn disabled_handoff_is_inert() {
+        let _g = crate::test_lock();
         crate::enable(false);
         let s = span_with_context("test.handoff.off", TraceContext::new(1, 2));
         assert!(!s.is_recording());

@@ -20,7 +20,7 @@
 //!   flipped; the length is intact but the CRC disagrees.
 
 use riot::core::{command_to_line, replay, Editor, Journal, Library};
-use riot::core::{WalCorruption, WAL_MAGIC};
+use riot::core::{RecordCorruption, WalCorruption, WAL_MAGIC};
 use riot::geom::Point;
 
 const TORN_TAIL: &[u8] = include_bytes!("../examples/torn_tail.wal");
@@ -58,10 +58,10 @@ fn torn_tail_truncates_at_the_last_intact_record() {
     assert_eq!(rec.valid_len, 94, "scan stops at the torn record's header");
     assert_eq!(
         rec.corruption,
-        Some(WalCorruption::TornPayload {
+        Some(WalCorruption::Record(RecordCorruption::TornPayload {
             expected: 15,
             available: 2
-        })
+        }))
     );
 
     // Replaying the prefix yields the pre-crash state minus the lost
@@ -93,7 +93,7 @@ fn bad_checksum_truncates_before_the_corrupt_record() {
     );
     assert_eq!(rec.valid_len, 68, "scan stops at the corrupt record");
     match rec.corruption {
-        Some(WalCorruption::BadChecksum { stored, computed }) => {
+        Some(WalCorruption::Record(RecordCorruption::BadChecksum { stored, computed })) => {
             assert_ne!(stored, computed);
         }
         other => panic!("expected BadChecksum, got {other:?}"),
