@@ -4,7 +4,7 @@
 //! report passes its checks. See `riot_bench::harness`.
 
 use riot_bench::harness::Flags;
-use riot_bench::{incremental, profile, route, serve, spatial};
+use riot_bench::{fig9, incremental, profile, route, serve, spatial};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -20,11 +20,13 @@ USAGE:
     riot-bench serve [--socket PATH | --addr HOST:PORT] [--sessions N]
                      [--commands M] [--window W] [--conn-scale N,N,...]
                      [--out PATH]
+    riot-bench fig9 [--out PATH]
 
 --out defaults to BENCH_<suite>.json. `serve` with --socket or --addr
 drives that server for one run; with neither it runs one run, the
 recovery curve and the connection axis (--conn-scale, default
-64,256,1024) against private servers.
+64,256,1024) against private servers. `fig9` times the paper's Fig 9
+logic, routed and stretched, at 64/128/256/512 bits.
 
 The end-to-end benchmark, `riot-bench e2e`, is a package of its own:
     cargo run --release --manifest-path e2ebench/Cargo.toml --bin riot-bench -- e2e
@@ -45,6 +47,7 @@ fn main() -> ExitCode {
         "route" => (route::run, route::FLAGS, 0),
         "profile" => (profile::run, profile::FLAGS, 2),
         "serve" => (serve::run, serve::FLAGS, 0),
+        "fig9" => (fig9::run, fig9::FLAGS, 0),
         "-V" | "--version" => {
             println!("riot-bench {}", env!("CARGO_PKG_VERSION"));
             return ExitCode::SUCCESS;

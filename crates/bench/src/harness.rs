@@ -22,7 +22,7 @@ pub const SCHEMA: &str = "riot-bench/2";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Report {
     /// The suite that made it: `spatial`, `incremental`, `route`,
-    /// `profile` or `serve`.
+    /// `profile`, `serve` or `fig9`.
     pub suite: String,
     /// What the run was asked to do.
     pub params: BTreeMap<String, u64>,
@@ -191,6 +191,7 @@ pub fn check(report: &Report) -> Result<(), String> {
         "route" => crate::route::check(report),
         "profile" => crate::profile::check(report),
         "serve" => crate::serve::check(report),
+        "fig9" => crate::fig9::check(report),
         other => Err(format!("unknown suite `{other}`")),
     }
 }
@@ -368,9 +369,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("r.json");
         let flags = Flags::parse(&args(&["--out", out.to_str().unwrap()]), &["--out"], 0).unwrap();
-        let empty_profile = Report::new("profile", &[("commands", 0)]);
-        assert!(write(&empty_profile, &flags).is_err());
-        assert!(!out.exists(), "a failed check must write nothing");
+        for failing in [
+            Report::new("profile", &[("commands", 0)]),
+            Report::new("fig9", &[("threads", 1), ("passes", 3)]),
+        ] {
+            assert!(write(&failing, &flags).is_err());
+            assert!(!out.exists(), "a failed check must write nothing");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -1,7 +1,7 @@
-//! Shared workload generators for the benchmarks and the `figures`
+//! Shared workload generators for the suites and the `figures`
 //! regeneration binary, and the suites behind the `riot-bench` binary:
-//! [`spatial`], [`incremental`], [`route`], [`profile`] and [`serve`],
-//! each writing one `riot-bench/2` report through [`harness`].
+//! [`spatial`], [`incremental`], [`route`], [`profile`], [`serve`] and
+//! [`fig9`], each writing one `riot-bench/2` report through [`harness`].
 //!
 //! Workloads are deterministic (seeded [`rand::rngs::StdRng`]) so bench
 //! runs and EXPERIMENTS.md numbers are reproducible.
@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fig9;
 pub mod harness;
 pub mod incremental;
 pub mod profile;
@@ -104,52 +105,6 @@ pub fn grid_route_obstacles(n: usize, count: usize, seed: u64) -> Vec<(Layer, Re
         let h = r.gen_range(2..5);
         out.push((layer, Rect::new(x0, y0, x0 + w, y0 + h)));
     }
-    out
-}
-
-/// A comb cell with `n` left-edge pins for stretch benchmarks, plus a
-/// stretch spec that moves every pin to a random (monotone) target.
-pub fn stretch_workload(
-    n: usize,
-    seed: u64,
-) -> (riot::sticks::SticksCell, riot::rest::StretchSpec) {
-    let mut r = rng(seed);
-    let cell = riot::cells::parametric::comb("bench", riot::geom::Side::Left, n, 6);
-    // The comb's pins are at pitch 6; targets grow each gap by 0..8.
-    let mut spec = riot::rest::StretchSpec::new(riot::rest::Axis::Y);
-    let mut cum = 0;
-    for i in 0..n {
-        cum += r.gen_range(0..8);
-        let original = 6 * (i as i64 + 1);
-        spec.push_target(format!("P{i}"), original + cum);
-    }
-    (cell, spec)
-}
-
-/// CIF text for a synthetic chip with `cells` definitions of `shapes`
-/// boxes each, and one top-level call per definition.
-pub fn cif_workload(cells: usize, shapes: usize, seed: u64) -> String {
-    let mut r = rng(seed);
-    let mut out = String::new();
-    use std::fmt::Write as _;
-    for c in 1..=cells {
-        let _ = writeln!(out, "DS {c} 1 1;");
-        let _ = writeln!(out, "9 cell{c};");
-        let _ = writeln!(out, "L NM;");
-        for _ in 0..shapes {
-            let x = r.gen_range(0..100_000);
-            let y = r.gen_range(0..100_000);
-            let w = 2 * r.gen_range(1..200);
-            let h = 2 * r.gen_range(1..200);
-            let _ = writeln!(out, "B {w} {h} {x} {y};");
-        }
-        let _ = writeln!(out, "94 P{c} 0 0 NM 250;");
-        let _ = writeln!(out, "DF;");
-    }
-    for c in 1..=cells {
-        let _ = writeln!(out, "C {c} T {} {};", (c as i64) * 1000, 0);
-    }
-    out.push_str("E\n");
     out
 }
 
@@ -325,14 +280,6 @@ mod tests {
     #[test]
     fn workloads_deterministic() {
         assert_eq!(route_problem(16, 10, 7), route_problem(16, 10, 7));
-        assert_eq!(cif_workload(3, 5, 1), cif_workload(3, 5, 1));
-    }
-
-    #[test]
-    fn stretch_workload_feasible() {
-        let (cell, spec) = stretch_workload(8, 3);
-        let out = riot::rest::stretch(&cell, &spec).expect("monotone targets");
-        out.validate().unwrap();
     }
 
     #[test]
@@ -363,12 +310,5 @@ mod tests {
         assert_eq!(flat.len(), 9 * 3 * 3);
         let violations = riot::drc::check(&flat, &riot::drc::RuleSet::nmos());
         assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    #[test]
-    fn cif_workload_parses() {
-        let f = riot::cif::parse(&cif_workload(4, 10, 9)).unwrap();
-        assert_eq!(f.cells().len(), 4);
-        assert_eq!(f.top_calls().len(), 4);
     }
 }

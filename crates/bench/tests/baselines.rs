@@ -4,7 +4,7 @@
 //! were committed to support, at the size it was committed at.
 
 use riot_bench::harness::{check, Report};
-use riot_bench::spatial;
+use riot_bench::{fig9, spatial};
 
 fn baseline(name: &str) -> Report {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -61,4 +61,19 @@ fn serve_amortizes_fsyncs_and_holds_1024_connections() {
     );
     let top = r.axis("conns", "elapsed_ns").last().map_or(0, |p| p.0);
     assert!(top >= 1024, "the connection axis tops out at {top}");
+}
+
+#[test]
+fn fig9_shape_claims_hold_from_64_to_512_bits() {
+    let r = baseline("BENCH_fig9.json");
+    assert_eq!(r.suite, "fig9");
+    assert_eq!(r.param("threads").unwrap(), 1);
+    for style in fig9::STYLES {
+        let sizes: Vec<u64> = r
+            .axis(style.name(), "live_ns")
+            .iter()
+            .map(|p| p.0)
+            .collect();
+        assert_eq!(sizes, fig9::BITS.map(|b| b as u64), "{}", style.name());
+    }
 }

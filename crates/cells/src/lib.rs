@@ -14,8 +14,7 @@
 //!   cells as Sticks symbolic layout (stretchable);
 //! * [`pipe_corner`] — the "pre-defined pipe fittings" that aid complex
 //!   power/ground/clock routes;
-//! * [`parametric`] — parameterized gate generators for benchmark
-//!   sweeps.
+//! * [`parametric`] — comb cells of any width, for size sweeps.
 //!
 //! # Example
 //!

@@ -1,8 +1,7 @@
-//! Parameterized cell generators for benchmark sweeps.
+//! Parameterized cell generators for size sweeps.
 //!
-//! The benches regenerate the paper's figures at many sizes; these
-//! generators build gate-row cells with any number of pins at any
-//! pitch, all obeying the same rail discipline as [`crate::gates`].
+//! [`comb`] builds a cell with any number of pins at any pitch, so
+//! tests can pose routing and stretching problems of any width.
 
 use riot_geom::{Layer, Path, Point, Rect, Side};
 use riot_sticks::{Pin, SticksCell, SymWire};
@@ -57,67 +56,6 @@ pub fn comb(name: &str, side: Side, n: usize, pitch: i64) -> SticksCell {
     cell
 }
 
-/// A gate-row cell with `n` bottom inputs at `pitch` and one top
-/// output, like a scaled [`crate::gates::nand2`]. Stretchable.
-///
-/// # Panics
-///
-/// As [`comb`].
-pub fn wide_gate(name: &str, n: usize, pitch: i64) -> SticksCell {
-    assert!(n > 0 && pitch >= 4);
-    let width = pitch * (n as i64 + 1);
-    let h = 24;
-    let mut cell = SticksCell::new(name, Rect::new(0, 0, width, h));
-    cell.push_pin(Pin {
-        name: "PWRL".into(),
-        side: Side::Left,
-        layer: Layer::Metal,
-        position: Point::new(0, h - 2),
-        width: 3,
-    });
-    cell.push_pin(Pin {
-        name: "PWRR".into(),
-        side: Side::Right,
-        layer: Layer::Metal,
-        position: Point::new(width, h - 2),
-        width: 3,
-    });
-    cell.push_wire(SymWire {
-        layer: Layer::Metal,
-        width: 3,
-        path: Path::from_points([Point::new(0, h - 2), Point::new(width, h - 2)]).expect("rail"),
-    });
-    for i in 0..n {
-        let x = pitch * (i as i64 + 1);
-        cell.push_pin(Pin {
-            name: format!("IN{i}"),
-            side: Side::Bottom,
-            layer: Layer::Poly,
-            position: Point::new(x, 0),
-            width: 2,
-        });
-        cell.push_wire(SymWire {
-            layer: Layer::Poly,
-            width: 2,
-            path: Path::from_points([Point::new(x, 0), Point::new(x, 10)]).expect("input"),
-        });
-    }
-    let out_x = width / 2;
-    cell.push_pin(Pin {
-        name: "OUT".into(),
-        side: Side::Top,
-        layer: Layer::Poly,
-        position: Point::new(out_x, h),
-        width: 2,
-    });
-    cell.push_wire(SymWire {
-        layer: Layer::Poly,
-        width: 2,
-        path: Path::from_points([Point::new(out_x, 14), Point::new(out_x, h)]).expect("out"),
-    });
-    cell
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,16 +76,6 @@ mod tests {
         let names: Vec<&str> = pins.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["P0", "P1", "P2", "P3"]);
         assert_eq!(pins[1].position.y - pins[0].position.y, 5);
-    }
-
-    #[test]
-    fn wide_gate_validates_and_scales() {
-        for n in [1, 4, 16] {
-            let g = wide_gate("g", n, 6);
-            g.validate().unwrap();
-            assert_eq!(g.pins().len(), n + 3); // inputs + rails + OUT
-            assert_eq!(g.bbox().width(), 6 * (n as i64 + 1));
-        }
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! [`build_logic`] assembles the filter's logic block either way;
 //! [`build_chip`] adds the I/O pads (figure 10). Both return the
 //! [`Library`] holding the finished composition so callers can measure,
-//! render or export it.
+//! render or export it, and `build_logic` also returns the journal that
+//! built it, so callers can replay it on a fresh [`logic_menu`].
 
 use riot_core::measure::{measure, AreaReport};
-use riot_core::{AbutOptions, Editor, Library, RiotError, RouteOptions, StretchOptions};
+use riot_core::{AbutOptions, Editor, Journal, Library, RiotError, RouteOptions, StretchOptions};
 use riot_geom::{Point, Side, LAMBDA};
 
 /// How gate rows connect to the row below (paper figure 9a vs 9b).
@@ -47,6 +48,23 @@ pub struct FilterLogic {
     pub cell: String,
     /// The figure-9 measurements.
     pub report: AreaReport,
+    /// Every command the assembly ran, `edit` head first: replayed on
+    /// a fresh [`logic_menu`], it rebuilds `cell`.
+    pub journal: Journal,
+}
+
+/// The three-cell menu [`build_logic`] starts from: `shiftcell`,
+/// `nand2` and `or2`.
+///
+/// # Errors
+///
+/// A stock cell that fails to load; none do.
+pub fn logic_menu() -> Result<Library, RiotError> {
+    let mut lib = Library::new();
+    lib.add_sticks_cell(riot_cells::shift_register())?;
+    lib.add_sticks_cell(riot_cells::nand2())?;
+    lib.add_sticks_cell(riot_cells::or2())?;
+    Ok(lib)
 }
 
 /// Assembles the filter's logic block: a `bits`-stage shift-register
@@ -68,22 +86,21 @@ pub fn build_logic(bits: usize, style: LogicStyle) -> Result<FilterLogic, RiotEr
         bits >= 4 && bits.is_power_of_two(),
         "bits must be a power of two >= 4"
     );
-    let mut lib = Library::new();
-    lib.add_sticks_cell(riot_cells::shift_register())?;
-    lib.add_sticks_cell(riot_cells::nand2())?;
-    lib.add_sticks_cell(riot_cells::or2())?;
+    let mut lib = logic_menu()?;
     let cell = format!("logic_{}", style.name());
-    assemble_logic(&mut lib, &cell, bits, style)?;
+    let journal = assemble_logic(&mut lib, &cell, bits, style)?;
     let report = measure(&lib, &cell)?;
     Ok(FilterLogic {
         lib,
-        cell: cell.clone(),
+        cell,
         report,
+        journal,
     })
 }
 
 /// Assembles the logic block into an existing library (cells
-/// `shiftcell`, `nand2`, `or2` must be present).
+/// `shiftcell`, `nand2`, `or2` must be present) and returns the
+/// journal its editor recorded.
 ///
 /// # Errors
 ///
@@ -93,7 +110,7 @@ pub fn assemble_logic(
     cell_name: &str,
     bits: usize,
     style: LogicStyle,
-) -> Result<(), RiotError> {
+) -> Result<Journal, RiotError> {
     let sr_cell = lib
         .find("shiftcell")
         .ok_or(RiotError::UnknownCell("shiftcell".into()))?;
@@ -116,7 +133,6 @@ pub fn assemble_logic(
     //    each signal, left to right, all on one top edge.
     let mut below: Vec<(riot_core::InstanceId, String)> =
         (0..bits).map(|i| (sr, format!("TAP[{i},0]"))).collect();
-    let mut row = 0usize;
     while below.len() >= 2 {
         let gate_cell = if below.len() == 2 { or_cell } else { nand_cell };
         let mut outputs = Vec::new();
@@ -162,15 +178,13 @@ pub fn assemble_logic(
             outputs.push((inst, "OUT".to_owned()));
         }
         below = outputs;
-        row += 1;
-        let _ = row;
     }
 
     // 3. Bring the final output up to the cell boundary and finish.
     let (top_gate, out) = below.pop().expect("one output remains");
     ed.bring_out(top_gate, &[&out], Side::Top)?;
     ed.finish()?;
-    Ok(())
+    Ok(ed.journal().clone())
 }
 
 /// The finished chip of figure 10: the logic block with serial-in and
