@@ -63,6 +63,11 @@ const CACHE_GATE_BITS: u64 = 64;
 /// The cached-connector gate: recompute over cached.
 const CACHE_SPEEDUP: u64 = 5;
 
+/// The most, in tenths, that the routed session may grow from one size
+/// to the next: each undo record holds only what its command changed,
+/// so the payload follows the block, not commands × instances.
+const SESSION_GROWTH_TENTHS: u64 = 22;
+
 /// The measures of every `<style>.<bits>` point beside its per-kind
 /// ones. Those ending in `_ns` are timings and must be positive.
 const MEASURES: [&str; 16] = [
@@ -309,7 +314,9 @@ fn connectors(lib: &mut Library, cell: &str) -> Result<(u64, u64), Box<dyn Error
 ///   one `bits` (one per gate, plus the bring-out);
 /// * the stretched block is DRC-clean;
 /// * from [`CACHE_GATE_BITS`] up, rebuilding world connectors costs at
-///   least [`CACHE_SPEEDUP`] times the cached lookup.
+///   least [`CACHE_SPEEDUP`] times the cached lookup;
+/// * the routed `session_bytes` grow at most
+///   [`SESSION_GROWTH_TENTHS`] / 10 times from one size to the next.
 ///
 /// # Errors
 ///
@@ -352,6 +359,18 @@ pub fn check(r: &Report) -> Result<(), String> {
         let v = stretched("violations")?;
         if v != 0 {
             return fail(format!("the stretched block has {v} DRC violations"));
+        }
+    }
+    let session = r.axis("routed", "session_bytes");
+    for pair in session.windows(2) {
+        let ((small, from), (large, to)) = (pair[0], pair[1]);
+        if to.saturating_mul(10) > from.saturating_mul(SESSION_GROWTH_TENTHS) {
+            return Err(format!(
+                "the routed session grows from {from} B at {small} bits to {to} B at {large} bits, \
+                 more than {}.{}×",
+                SESSION_GROWTH_TENTHS / 10,
+                SESSION_GROWTH_TENTHS % 10
+            ));
         }
     }
     Ok(())

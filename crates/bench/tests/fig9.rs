@@ -1,7 +1,8 @@
 //! The `fig9` suite at toy sizes: its measuring function passes the
 //! suite's checks at 4, 8 and 16 bits, and those checks refuse a report
-//! that breaks the paper's shape claim, drops a series, or overruns the
-//! live pass.
+//! that breaks the paper's shape claim, drops a series, overruns the
+//! live pass, or holds a routed session that grows faster than the
+//! block.
 
 use riot_bench::fig9::{check, sweep, STYLES};
 use riot_bench::harness::Report;
@@ -59,4 +60,11 @@ fn check_refuses_broken_reports() {
         r.metrics.insert("routed.8.live_ns".into(), 1);
     });
     assert!(over.contains("more than the 1 ns pass"), "{over}");
+
+    let quadratic = refusal(|r| {
+        let at8 = r.get("routed.8.session_bytes").unwrap();
+        r.metrics
+            .insert("routed.16.session_bytes".into(), at8 * 23 / 10);
+    });
+    assert!(quadratic.contains("more than 2.2×"), "{quadratic}");
 }

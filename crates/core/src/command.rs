@@ -9,16 +9,15 @@
 //! * the REPLAY journal — [`crate::Journal`] is a `Vec<Command>` and
 //!   the text format (de)serializes commands directly, so replay is a
 //!   loop of `execute` with no second dispatch;
-//! * history — undo re-verts a command's recorded inverse and redo
-//!   re-executes the command itself.
+//! * history — undo reverts the record the command's application
+//!   filled in, and redo re-executes the command itself.
 //!
 //! Applying a command yields a [`CommandEffect`]: the caller-visible
-//! [`Outcome`], the inverse record for the undo stack, and the exact
-//! (possibly name-deduplicated) command to journal.
+//! [`Outcome`] and the exact (possibly name-deduplicated) command to
+//! journal.
 
 use crate::editor::Editor;
 use crate::error::RiotError;
-use crate::history::UndoRecord;
 use crate::{CellId, InstanceId};
 use riot_geom::{Orientation, Point, Side};
 use riot_rest::SolveMode;
@@ -159,9 +158,6 @@ pub enum Outcome {
 pub(crate) struct CommandEffect {
     /// Caller-visible outcome.
     pub(crate) outcome: Outcome,
-    /// Structural inverse for simple commands; `None` for compound
-    /// commands, whose transaction snapshot doubles as the inverse.
-    pub(crate) undo: Option<UndoRecord>,
     /// The command to journal — usually the command itself, but CREATE
     /// journals the deduplicated instance name it actually used.
     pub(crate) journal: Command,
@@ -220,21 +216,6 @@ impl Command {
         }
     }
 
-    /// Whether applying this command interleaves mutation with fallible
-    /// work and therefore needs a transaction snapshot. Simple commands
-    /// validate everything before mutating and need none.
-    pub(crate) fn is_compound(&self) -> bool {
-        matches!(
-            self,
-            Command::Abut { .. }
-                | Command::AbutInstances { .. }
-                | Command::Route { .. }
-                | Command::Stretch { .. }
-                | Command::BringOut { .. }
-                | Command::Finish
-        )
-    }
-
     /// Applies the command to an editing session. Dispatches to the
     /// per-operation bodies in the `editor::ops_*` modules.
     pub(crate) fn apply(&self, ed: &mut Editor<'_>) -> Result<CommandEffect, RiotError> {
@@ -277,23 +258,6 @@ impl Command {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn compound_classification() {
-        assert!(Command::Finish.is_compound());
-        assert!(Command::Abut { overlap: false }.is_compound());
-        assert!(Command::Stretch {
-            mode: SolveMode::PreserveGaps
-        }
-        .is_compound());
-        assert!(!Command::ClearPending.is_compound());
-        assert!(!Command::Translate {
-            instance: "I0".into(),
-            d: Point::new(1, 2)
-        }
-        .is_compound());
-        assert!(!Command::Undo.is_compound());
-    }
 
     #[test]
     fn span_names_are_prefixed_kind_names() {

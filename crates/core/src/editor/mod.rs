@@ -6,12 +6,13 @@
 //! signatures the session always had, but their bodies now construct a
 //! [`Command`] and hand it to [`Editor::execute`], which:
 //!
-//! 1. snapshots the session for compound commands
-//!    ([`crate::txn`]) so a failed abut/route/stretch leaves the
-//!    library untouched;
-//! 2. applies the command (the bodies live in the `ops_*` submodules);
+//! 1. opens an undo record ([`crate::history`]) that the command's
+//!    edits fill in with the state they replace;
+//! 2. applies the command (the bodies live in the `ops_*` submodules),
+//!    reverting the record if it fails, so a failed abut/route/stretch
+//!    leaves the library untouched;
 //! 3. journals the applied command for REPLAY;
-//! 4. pushes the inverse onto the undo stack ([`crate::history`]);
+//! 4. pushes the record onto the undo stack;
 //! 5. announces what changed on the event bus ([`crate::events`]),
 //!    which incrementally invalidates the derived-geometry caches.
 //!
@@ -36,7 +37,6 @@ use crate::history::{Applied, History, UndoRecord};
 use crate::instance::{Instance, InstanceId};
 use crate::library::Library;
 use crate::replay::Journal;
-use crate::txn::Snapshot;
 use cache::{DamageJournal, DerivedCache};
 use riot_geom::{Rect, LAMBDA};
 use riot_rest::SolveMode;
@@ -113,6 +113,9 @@ pub struct Editor<'a> {
     damage: DamageJournal,
     stats: Stats,
     fault: Option<FaultPlan>,
+    /// The undo record of the command being applied; `None` between
+    /// commands.
+    txn: Option<UndoRecord>,
 }
 
 /// A suspended editing session: everything an [`Editor`] owns besides
@@ -218,6 +221,7 @@ impl<'a> Editor<'a> {
             damage: DamageJournal::default(),
             stats: Stats::default(),
             fault: None,
+            txn: None,
         })
     }
 
@@ -298,6 +302,7 @@ impl<'a> Editor<'a> {
             },
             stats: cp.stats,
             fault: cp.fault,
+            txn: None,
         })
     }
 
@@ -351,8 +356,7 @@ impl<'a> Editor<'a> {
     ///
     /// # Errors
     ///
-    /// Whatever the command's application produces — and for compound
-    /// commands (abut, route, stretch, bring-out, finish) an error
+    /// Whatever the command's application produces; an error
     /// guarantees the session is rolled back to its pre-command state.
     /// [`Command::Edit`] is rejected outside a journal head.
     pub fn execute(&mut self, cmd: Command) -> Result<Outcome, RiotError> {
@@ -381,44 +385,21 @@ impl<'a> Editor<'a> {
     ) -> Result<Outcome, RiotError> {
         let mut sp = riot_trace::span(cmd.span_name());
         let t0 = std::time::Instant::now();
-        let snap = cmd.is_compound().then(|| {
-            let _sp = riot_trace::span("txn.snapshot");
-            self.snapshot()
-        });
-        match cmd.apply(self) {
-            Ok(effect) => {
-                let CommandEffect {
-                    outcome,
-                    undo,
-                    journal,
-                } = effect;
-                // The txn-commit fault site: the command applied, but
-                // the commit "fails" before it is journaled. Revert
-                // through the same machinery a real failure would use —
-                // snapshot restore for compound commands, the inverse
-                // record for simple ones.
-                if let Err(e) = self.fault_trip(FAULT_TXN_COMMIT) {
-                    sp.field("rollback", 1);
-                    match snap {
-                        Some(snap) => {
-                            let _sp = riot_trace::span("txn.restore");
-                            self.restore_snapshot(snap);
-                        }
-                        None => {
-                            self.revert(undo.expect("simple commands carry an undo record"));
-                        }
-                    }
-                    self.stats.rollbacks += 1;
-                    mark("core.cmd.rollbacks");
-                    self.stats.apply_nanos += t0.elapsed().as_nanos() as u64;
-                    return Err(e);
-                }
-                let undo = match undo {
-                    Some(u) => u,
-                    None => UndoRecord::Snapshot(Box::new(
-                        snap.expect("compound commands take a snapshot"),
-                    )),
-                };
+        self.txn = Some(UndoRecord::open(
+            self.lib.checkpoint(),
+            self.comp().instances.len(),
+            self.pending.len(),
+        ));
+        let applied = cmd.apply(self);
+        let undo = self
+            .txn
+            .take()
+            .expect("the record stays open while a command applies");
+        // The txn-commit fault site: the command applied, but the
+        // commit "fails" before it is journaled, and reverts like any
+        // other failure.
+        match applied.and_then(|effect| self.fault_trip(FAULT_TXN_COMMIT).map(|()| effect)) {
+            Ok(CommandEffect { outcome, journal }) => {
                 self.history.push_applied(Applied {
                     command: journal.clone(),
                     undo,
@@ -431,12 +412,12 @@ impl<'a> Editor<'a> {
             }
             Err(e) => {
                 sp.field("rollback", 1);
-                if let Some(snap) = snap {
+                {
                     let _sp = riot_trace::span("txn.restore");
-                    self.restore_snapshot(snap);
-                    self.stats.rollbacks += 1;
-                    mark("core.cmd.rollbacks");
+                    self.revert(undo);
                 }
+                self.stats.rollbacks += 1;
+                mark("core.cmd.rollbacks");
                 // Failed applications cost real time too; accrue it so
                 // `Stats::apply_nanos` reflects every trip through the
                 // engine, not just the happy path.
@@ -492,119 +473,74 @@ impl<'a> Editor<'a> {
         }
     }
 
-    /// Reverts one undo record. Infallible by construction: the LIFO
-    /// undo stack guarantees the session looks exactly as it did right
-    /// after the record's command applied.
+    /// Reverts one undo record: drops the menu cells and instance
+    /// slots its command appended, puts back the slots, pending list
+    /// and cell header it kept, and emits one event per touched or
+    /// created slot plus [`ChangeEvent::PendingChanged`] when the list
+    /// differs. When the menu shrinks or the cell header changes, the
+    /// per-slot events cannot describe the change (the menu's own
+    /// `CellAdded` events are already queued) and one
+    /// [`ChangeEvent::BulkRestore`] replaces them. Infallible by
+    /// construction: the LIFO undo stack guarantees the session looks
+    /// exactly as it did right after the record's command applied.
     fn revert(&mut self, record: UndoRecord) {
-        match record {
-            UndoRecord::PopInstance => {
-                let id = InstanceId(self.comp().instances.len().saturating_sub(1));
-                let old = self.world_bbox_now(id);
-                self.comp_mut().instances.pop();
-                self.emit(ChangeEvent::InstanceDeleted { id, old });
-            }
-            UndoRecord::Transform { id, prev } => {
-                let old = self.world_bbox_now(id);
-                if let Ok(inst) = self.instance_mut(id) {
-                    inst.transform = prev;
-                }
-                let new = self.world_bbox_now(id);
-                self.emit(ChangeEvent::InstanceChanged { id, old, new });
-            }
-            UndoRecord::Replicate { id, cols, rows } => {
-                let old = self.world_bbox_now(id);
-                if let Ok(inst) = self.instance_mut(id) {
-                    inst.cols = cols;
-                    inst.rows = rows;
-                }
-                let new = self.world_bbox_now(id);
-                self.emit(ChangeEvent::InstanceChanged { id, old, new });
-            }
-            UndoRecord::Spacing { id, col, row } => {
-                let old = self.world_bbox_now(id);
-                if let Ok(inst) = self.instance_mut(id) {
-                    inst.col_spacing = col;
-                    inst.row_spacing = row;
-                }
-                let new = self.world_bbox_now(id);
-                self.emit(ChangeEvent::InstanceChanged { id, old, new });
-            }
-            UndoRecord::RestoreInstance {
-                id,
-                instance,
-                pending,
-            } => {
-                self.comp_mut().instances[id.0] = Some(*instance);
-                self.pending = pending;
-                let at = self.world_bbox_now(id);
-                self.emit(ChangeEvent::InstanceCreated { id, at });
-                self.emit(ChangeEvent::PendingChanged);
-            }
-            UndoRecord::PopPending => {
-                self.pending.pop();
-                self.emit(ChangeEvent::PendingChanged);
-            }
-            UndoRecord::InsertPending { index, conn } => {
-                let at = index.min(self.pending.len());
-                self.pending.insert(at, conn);
-                self.emit(ChangeEvent::PendingChanged);
-            }
-            UndoRecord::RestorePending(pending) => {
-                self.pending = pending;
-                self.emit(ChangeEvent::PendingChanged);
-            }
-            UndoRecord::Snapshot(snap) => self.restore_snapshot(*snap),
+        let UndoRecord {
+            menu,
+            slots,
+            prior,
+            pending_len,
+            pending,
+            header,
+        } = record;
+        let bulk = self.lib.len() > menu.cells_len
+            || header.as_ref().is_some_and(|(bbox, connectors)| {
+                let c = self.cell();
+                c.bbox != *bbox || c.connectors != *connectors
+            });
+        let ids: Vec<InstanceId> = prior
+            .iter()
+            .map(|(id, _)| *id)
+            .chain((slots..self.comp().instances.len()).map(InstanceId))
+            .collect();
+        let before: Vec<_> = ids.iter().map(|&id| self.slot_bbox(id)).collect();
+
+        self.lib.rollback(menu);
+        if let Some((bbox, connectors)) = header {
+            let cell = self.lib.cell_mut(self.cell).expect("edit cell exists");
+            cell.bbox = bbox;
+            cell.connectors = connectors;
         }
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        Snapshot::capture(self.lib, self.cell, &self.pending)
-    }
-
-    fn restore_snapshot(&mut self, snap: Snapshot) {
-        // Capture per-slot state around the restore so a rollback or
-        // compound undo dirties only the regions that actually moved.
-        // Two escape hatches keep this conservative: if the edit cell
-        // itself was rewritten (a failed finish) or the menu gained or
-        // lost cells (route/stretch cells whose `CellAdded` events are
-        // already queued), the targeted diff cannot describe the
-        // change and `BulkRestore` remains the fallback.
-        let cells_before = self.lib.len();
-        let cell_before = {
-            let c = self.cell();
-            (c.bbox, c.connectors.clone())
+        let instances = &mut self.comp_mut().instances;
+        instances.truncate(slots);
+        for (id, inst) in prior {
+            instances[id.0] = Some(inst);
+        }
+        let pending_changed = match pending {
+            Some(list) => {
+                let changed = list != self.pending;
+                self.pending = list;
+                changed
+            }
+            None => {
+                let changed = self.pending.len() != pending_len;
+                self.pending.truncate(pending_len);
+                changed
+            }
         };
-        let pending_before = self.pending.clone();
-        let before = self.slot_states();
-        snap.restore(self.lib, self.cell, &mut self.pending);
-        let cell_after = {
-            let c = self.cell();
-            (c.bbox, c.connectors.clone())
-        };
-        if self.lib.len() != cells_before || cell_after != cell_before {
+
+        if bulk {
             self.emit(ChangeEvent::BulkRestore);
             return;
         }
-        let after = self.slot_states();
-        for i in 0..before.len().max(after.len()) {
-            let id = InstanceId(i);
-            let b = before.get(i).cloned().flatten();
-            let a = after.get(i).cloned().flatten();
-            match (b, a) {
-                (None, None) => {}
-                (Some((old, _)), None) => self.emit(ChangeEvent::InstanceDeleted { id, old }),
-                (None, Some((at, _))) => self.emit(ChangeEvent::InstanceCreated { id, at }),
-                (Some((old, bi)), Some((new, ai))) => {
-                    // Compare the whole instance, not just its box: a
-                    // same-box cell swap still changes what the region
-                    // contains.
-                    if bi != ai {
-                        self.emit(ChangeEvent::InstanceChanged { id, old, new });
-                    }
-                }
-            }
+        for (id, before) in ids.into_iter().zip(before) {
+            self.emit(match (before, self.slot_bbox(id)) {
+                (Some(old), Some(new)) => ChangeEvent::InstanceChanged { id, old, new },
+                (Some(old), None) => ChangeEvent::InstanceDeleted { id, old },
+                (None, Some(at)) => ChangeEvent::InstanceCreated { id, at },
+                (None, None) => continue,
+            });
         }
-        if pending_before != self.pending {
+        if pending_changed {
             self.emit(ChangeEvent::PendingChanged);
         }
     }
@@ -613,24 +549,14 @@ impl<'a> Editor<'a> {
     /// bypassing the derived cache (which is stale between a mutation
     /// and its event). `None` for tombstones and unknown cells.
     fn world_bbox_now(&self, id: InstanceId) -> Option<Rect> {
-        let inst = self.comp().instances.get(id.0)?.as_ref()?;
-        let cell = self.lib.cell(inst.cell).ok()?;
-        Some(inst.world_bbox(cell))
+        self.slot_bbox(id).flatten()
     }
 
-    /// Every slot's `(world bbox, instance)` pair, for diffing around
-    /// a snapshot restore. Tombstoned slots are `None`.
-    fn slot_states(&self) -> Vec<Option<(Option<Rect>, Instance)>> {
-        self.comp()
-            .instances
-            .iter()
-            .map(|s| {
-                s.as_ref().map(|inst| {
-                    let bb = self.lib.cell(inst.cell).ok().map(|c| inst.world_bbox(c));
-                    (bb, inst.clone())
-                })
-            })
-            .collect()
+    /// [`Editor::world_bbox_now`] that tells a tombstone (`None`) from
+    /// a live instance of an unknown cell (`Some(None)`).
+    fn slot_bbox(&self, id: InstanceId) -> Option<Option<Rect>> {
+        let inst = self.comp().instances.get(id.0)?.as_ref()?;
+        Some(self.lib.cell(inst.cell).ok().map(|c| inst.world_bbox(c)))
     }
 
     /// Announces a change: bumps counters, invalidates the affected
@@ -653,8 +579,8 @@ impl<'a> Editor<'a> {
     }
 
     /// Takes every change event queued since the last drain, with
-    /// duplicate per-instance change events coalesced: a compound
-    /// command that moves one instance several times yields a single
+    /// duplicate per-instance change events coalesced: a command that
+    /// moves one instance several times yields a single
     /// [`ChangeEvent::InstanceChanged`] spanning the first `old` box
     /// and the last `new` box, so a UI redraws once instead of N
     /// times. Coalescing never crosses a create/delete of the same
@@ -808,12 +734,31 @@ impl<'a> Editor<'a> {
             .ok_or(RiotError::BadInstance(id.0))
     }
 
+    /// Mutable access to a live instance. The open undo record keeps
+    /// the instance as it was before the command's first change to it.
     fn instance_mut(&mut self, id: InstanceId) -> Result<&mut Instance, RiotError> {
-        self.comp_mut()
+        let inst = self
+            .lib
+            .cell_mut(self.cell)?
+            .composition_mut()
+            .expect("edit cell is composition")
             .instances
             .get_mut(id.0)
             .and_then(|s| s.as_mut())
-            .ok_or(RiotError::BadInstance(id.0))
+            .ok_or(RiotError::BadInstance(id.0))?;
+        if let Some(record) = &mut self.txn {
+            record.keep_slot(id, inst);
+        }
+        Ok(inst)
+    }
+
+    /// The pending list, for an edit that removes entries. The open
+    /// undo record keeps the list as it was before the first removal.
+    fn pending_mut(&mut self) -> &mut Vec<PendingConnection> {
+        if let Some(record) = &mut self.txn {
+            record.keep_pending(&self.pending);
+        }
+        &mut self.pending
     }
 
     /// Finds an instance by name.
@@ -969,12 +914,14 @@ impl<'a> Editor<'a> {
         }
         let count = connectors.len();
         let cell = self.lib.cell_mut(self.cell)?;
+        if let Some(record) = &mut self.txn {
+            record.keep_header(cell);
+        }
         cell.bbox = bbox;
         cell.connectors = connectors;
         self.emit(ChangeEvent::CellFinished);
         Ok(CommandEffect {
             outcome: Outcome::Count(count),
-            undo: None,
             journal: Command::Finish,
         })
     }

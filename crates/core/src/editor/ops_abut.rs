@@ -1,7 +1,4 @@
 //! The ABUT connection command and connector-less edge abutment.
-//!
-//! Both are compound commands: the engine snapshots the session before
-//! applying, so any failure rolls the library and pending list back.
 
 use super::{AbutOptions, Editor};
 use crate::command::{Command, CommandEffect, Outcome};
@@ -45,11 +42,10 @@ impl Editor<'_> {
                 }
             }
         }
-        self.pending.clear();
+        self.pending_mut().clear();
         self.emit(ChangeEvent::PendingChanged);
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: None,
             journal: Command::Abut { overlap },
         })
     }
@@ -104,7 +100,6 @@ impl Editor<'_> {
         });
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: None,
             journal: Command::AbutInstances {
                 from: from.to_owned(),
                 to: to.to_owned(),

@@ -8,7 +8,6 @@ use crate::command::{Command, CommandEffect, Outcome};
 use crate::connection::{PendingConnection, WorldConnector};
 use crate::error::RiotError;
 use crate::events::ChangeEvent;
-use crate::history::UndoRecord;
 use crate::instance::InstanceId;
 use riot_geom::{Point, Side};
 
@@ -86,7 +85,6 @@ impl Editor<'_> {
         self.emit(ChangeEvent::PendingChanged);
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: Some(UndoRecord::PopPending),
             journal: Command::Connect {
                 from: from.to_owned(),
                 from_connector: from_connector.to_owned(),
@@ -111,11 +109,10 @@ impl Editor<'_> {
         if index >= self.pending.len() {
             return Err(RiotError::NothingPending);
         }
-        let conn = self.pending.remove(index);
+        self.pending_mut().remove(index);
         self.emit(ChangeEvent::PendingChanged);
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: Some(UndoRecord::InsertPending { index, conn }),
             journal: Command::RemovePending { index },
         })
     }
@@ -128,11 +125,10 @@ impl Editor<'_> {
     }
 
     pub(crate) fn apply_clear_pending(&mut self) -> Result<CommandEffect, RiotError> {
-        let taken = std::mem::take(&mut self.pending);
+        self.pending_mut().clear();
         self.emit(ChangeEvent::PendingChanged);
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: Some(UndoRecord::RestorePending(taken)),
             journal: Command::ClearPending,
         })
     }

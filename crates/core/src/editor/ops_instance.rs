@@ -6,7 +6,6 @@ use super::Editor;
 use crate::command::{Command, CommandEffect, Outcome};
 use crate::error::RiotError;
 use crate::events::ChangeEvent;
-use crate::history::UndoRecord;
 use crate::instance::{Instance, InstanceId};
 use crate::CellId;
 use riot_geom::{Orientation, Point, Transform};
@@ -77,7 +76,6 @@ impl Editor<'_> {
         self.emit(ChangeEvent::InstanceCreated { id, at });
         Ok(CommandEffect {
             outcome: Outcome::Instance(id),
-            undo: Some(UndoRecord::PopInstance),
             journal: Command::Create {
                 cell: cell_name.to_owned(),
                 instance: name,
@@ -85,9 +83,9 @@ impl Editor<'_> {
         })
     }
 
-    /// Instantiates without journaling or history — for the instances
-    /// ROUTE and BRING-OUT create themselves, which their own commands
-    /// regenerate (and whose snapshots revert).
+    /// Instantiates without journaling — for the instances ROUTE and
+    /// BRING-OUT create themselves, which their own commands regenerate
+    /// (and whose undo records revert).
     pub(crate) fn create_internal_instance(
         &mut self,
         cell: CellId,
@@ -120,7 +118,6 @@ impl Editor<'_> {
         d: Point,
     ) -> Result<CommandEffect, RiotError> {
         let id = self.require_instance(instance)?;
-        let prev = self.instance(id)?.transform;
         let old = self.world_bbox_now(id);
         {
             let inst = self.instance_mut(id)?;
@@ -130,7 +127,6 @@ impl Editor<'_> {
         self.emit(ChangeEvent::InstanceChanged { id, old, new });
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: Some(UndoRecord::Transform { id, prev }),
             journal: Command::Translate {
                 instance: instance.to_owned(),
                 d,
@@ -160,7 +156,6 @@ impl Editor<'_> {
         orient: Orientation,
     ) -> Result<CommandEffect, RiotError> {
         let id = self.require_instance(instance)?;
-        let prev = self.instance(id)?.transform;
         let old = self.world_bbox_now(id);
         {
             let inst = self.instance_mut(id)?;
@@ -171,7 +166,6 @@ impl Editor<'_> {
         self.emit(ChangeEvent::InstanceChanged { id, old, new });
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: Some(UndoRecord::Transform { id, prev }),
             journal: Command::Orient {
                 instance: instance.to_owned(),
                 orient,
@@ -212,22 +206,15 @@ impl Editor<'_> {
         }
         let id = self.require_instance(instance)?;
         let old = self.world_bbox_now(id);
-        let (prev_cols, prev_rows) = {
+        {
             let inst = self.instance_mut(id)?;
-            let prev = (inst.cols, inst.rows);
             inst.cols = cols;
             inst.rows = rows;
-            prev
-        };
+        }
         let new = self.world_bbox_now(id);
         self.emit(ChangeEvent::InstanceChanged { id, old, new });
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: Some(UndoRecord::Replicate {
-                id,
-                cols: prev_cols,
-                rows: prev_rows,
-            }),
             journal: Command::Replicate {
                 instance: instance.to_owned(),
                 cols,
@@ -259,22 +246,15 @@ impl Editor<'_> {
         }
         let id = self.require_instance(instance)?;
         let old = self.world_bbox_now(id);
-        let (prev_col, prev_row) = {
+        {
             let inst = self.instance_mut(id)?;
-            let prev = (inst.col_spacing, inst.row_spacing);
             inst.col_spacing = col;
             inst.row_spacing = row;
-            prev
-        };
+        }
         let new = self.world_bbox_now(id);
         self.emit(ChangeEvent::InstanceChanged { id, old, new });
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: Some(UndoRecord::Spacing {
-                id,
-                col: prev_col,
-                row: prev_row,
-            }),
             journal: Command::Spacing {
                 instance: instance.to_owned(),
                 col,
@@ -297,26 +277,23 @@ impl Editor<'_> {
 
     pub(crate) fn apply_delete(&mut self, instance: &str) -> Result<CommandEffect, RiotError> {
         let id = self.require_instance(instance)?;
-        let removed = Box::new(self.instance(id)?.clone());
         let old = self.world_bbox_now(id);
-        let prev_pending = self.pending.clone();
-        self.comp_mut().instances[id.0] = None;
-        let pending_changed = {
-            let before = self.pending.len();
-            self.pending.retain(|p| p.from != id && p.to != id);
-            self.pending.len() != before
-        };
+        let removed = self.comp_mut().instances[id.0]
+            .take()
+            .expect("require_instance found a live slot");
+        if let Some(record) = &mut self.txn {
+            record.keep_slot(id, &removed);
+        }
+        let pending_changed = self.pending.iter().any(|p| p.from == id || p.to == id);
+        if pending_changed {
+            self.pending_mut().retain(|p| p.from != id && p.to != id);
+        }
         self.emit(ChangeEvent::InstanceDeleted { id, old });
         if pending_changed {
             self.emit(ChangeEvent::PendingChanged);
         }
         Ok(CommandEffect {
             outcome: Outcome::None,
-            undo: Some(UndoRecord::RestoreInstance {
-                id,
-                instance: removed,
-                pending: prev_pending,
-            }),
             journal: Command::Delete {
                 instance: instance.to_owned(),
             },

@@ -1,6 +1,6 @@
 //! The ROUTE connection command and BRING-OUT, the two operations that
-//! synthesize new route cells into the menu. Both are compound: a
-//! router failure rolls the menu back to its pre-command state.
+//! synthesize new route cells into the menu. A router failure rolls
+//! the menu back to its pre-command state.
 
 use super::Editor;
 use crate::command::{Command, CommandEffect, Outcome};
@@ -107,11 +107,10 @@ impl Editor<'_> {
             self.apply_translation_and_verify(from, d, &pairs_for_verify)?;
         }
 
-        self.pending.clear();
+        self.pending_mut().clear();
         self.emit(ChangeEvent::PendingChanged);
         Ok(CommandEffect {
             outcome: Outcome::CellInstance(route_cell, route_inst),
-            undo: None,
             journal: Command::Route {
                 move_from,
                 router: router_options,
@@ -215,7 +214,6 @@ impl Editor<'_> {
         });
         Ok(CommandEffect {
             outcome: Outcome::CellInstance(cell_id, new_inst),
-            undo: None,
             journal: Command::BringOut {
                 instance: instance.to_owned(),
                 connectors: connectors.to_vec(),

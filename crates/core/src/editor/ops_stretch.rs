@@ -133,11 +133,10 @@ impl Editor<'_> {
         let d = new_pairs[0].1.location - new_pairs[0].0.location;
         self.apply_translation_and_verify(from, d, &new_pairs)?;
 
-        self.pending.clear();
+        self.pending_mut().clear();
         self.emit(crate::events::ChangeEvent::PendingChanged);
         Ok(CommandEffect {
             outcome: Outcome::Cell(new_cell),
-            undo: None,
             journal: Command::Stretch { mode },
         })
     }

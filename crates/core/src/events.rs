@@ -150,7 +150,7 @@ pub struct Stats {
     pub undos: u64,
     /// Redo operations performed.
     pub redos: u64,
-    /// Failed transactions rolled back to their snapshot.
+    /// Commands reverted after a failure.
     pub rollbacks: u64,
     /// Change events emitted.
     pub events: u64,

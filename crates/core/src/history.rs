@@ -1,80 +1,92 @@
 //! Undo/redo stacks for the command engine.
 //!
 //! Every successfully applied command pushes an [`Applied`] record: the
-//! command itself (for redo) and an [`UndoRecord`] that reverts it.
-//! Simple commands revert with a precise structural inverse (restore a
-//! transform, pop a pending connection); compound commands revert by
-//! restoring the transaction snapshot their apply already captured.
+//! command itself (for redo) and the [`UndoRecord`] its application
+//! filled in, which reverts it.
 //!
 //! Undo pops the stack, reverts, and moves the command to the redo
 //! stack; redo re-executes the command through the normal engine path.
 //! Any *new* command clears the redo stack, as editors conventionally
 //! do.
 
+use crate::cell::{Cell, Connector};
 use crate::command::Command;
 use crate::connection::PendingConnection;
 use crate::instance::{Instance, InstanceId};
-use crate::txn::Snapshot;
-use riot_geom::Transform;
+use crate::library::LibraryCheckpoint;
+use riot_geom::Rect;
 
-/// How to revert one applied command.
+/// How to revert one applied command: the state it replaced.
 ///
-/// Reverting is infallible by construction: instance ids are stable
-/// slot indices, and the LIFO discipline of the undo stack guarantees
-/// that when a record runs, the composition looks exactly as it did
-/// right after its command applied.
+/// The engine opens a record before every command, and the command's
+/// edits fill it in as they happen. The first change to a pre-existing
+/// instance slot keeps the slot's prior instance; the first removal
+/// from the pending list keeps the prior list; FINISH keeps the cell
+/// header it rewrites. What a command only appends (menu cells,
+/// instance slots, pending connections) reverts by truncating to the
+/// lengths the record opened with. So a record is as large as what its
+/// command changed, and the same record serves failure rollback and
+/// undo.
+///
+/// Reverting is infallible by construction: the LIFO discipline of the
+/// undo stack guarantees that when a record runs, the session looks
+/// exactly as it did right after its command applied.
 #[derive(Debug, Clone)]
-pub(crate) enum UndoRecord {
-    /// Undo a CREATE: the created instance occupies the last slot.
-    PopInstance,
-    /// Undo a MOVE or ROTATE/MIRROR: restore the previous transform.
-    Transform {
-        /// Instance whose transform to restore.
-        id: InstanceId,
-        /// The transform before the command.
-        prev: Transform,
-    },
-    /// Undo a REPLICATE: restore the previous array counts.
-    Replicate {
-        /// Instance whose counts to restore.
-        id: InstanceId,
-        /// Columns before the command.
-        cols: u32,
-        /// Rows before the command.
-        rows: u32,
-    },
-    /// Undo a spacing override: restore the previous pitches.
-    Spacing {
-        /// Instance whose pitches to restore.
-        id: InstanceId,
-        /// Column pitch before the command.
-        col: i64,
-        /// Row pitch before the command.
-        row: i64,
-    },
-    /// Undo a DELETE: put the instance back in its slot and restore the
-    /// pending connections the delete dropped.
-    RestoreInstance {
-        /// The tombstoned slot.
-        id: InstanceId,
-        /// The deleted instance.
-        instance: Box<Instance>,
-        /// The pending list before the delete.
-        pending: Vec<PendingConnection>,
-    },
-    /// Undo a CONNECT: the new pending connection is last in the list.
-    PopPending,
-    /// Undo removing one pending connection: re-insert it.
-    InsertPending {
-        /// Where the connection sat.
-        index: usize,
-        /// The removed connection.
-        conn: PendingConnection,
-    },
-    /// Undo clearing the pending list: restore it wholesale.
-    RestorePending(Vec<PendingConnection>),
-    /// Undo a compound command by restoring its transaction snapshot.
-    Snapshot(Box<Snapshot>),
+pub(crate) struct UndoRecord {
+    /// The menu before the command. Fields are crate-visible so
+    /// `crate::persist` can serialize undo records for suspended
+    /// sessions.
+    pub(crate) menu: LibraryCheckpoint,
+    /// Instance slots before the command; later slots are its own.
+    pub(crate) slots: usize,
+    /// Each pre-existing slot the command changed, with its instance
+    /// before the first change, in first-change order.
+    pub(crate) prior: Vec<(InstanceId, Instance)>,
+    /// Pending connections before the command.
+    pub(crate) pending_len: usize,
+    /// The pending list before the command, kept once it removed an
+    /// entry.
+    pub(crate) pending: Option<Vec<PendingConnection>>,
+    /// The edit cell's bbox and connectors before FINISH rewrote them.
+    pub(crate) header: Option<(Rect, Vec<Connector>)>,
+}
+
+impl UndoRecord {
+    /// Opens an empty record on the session a command is about to
+    /// change.
+    pub(crate) fn open(menu: LibraryCheckpoint, slots: usize, pending_len: usize) -> UndoRecord {
+        UndoRecord {
+            menu,
+            slots,
+            prior: Vec::new(),
+            pending_len,
+            pending: None,
+            header: None,
+        }
+    }
+
+    /// Keeps slot `id`'s instance before the command's first change to
+    /// it. Slots the command created need nothing.
+    pub(crate) fn keep_slot(&mut self, id: InstanceId, inst: &Instance) {
+        if id.0 < self.slots && !self.prior.iter().any(|(kept, _)| *kept == id) {
+            self.prior.push((id, inst.clone()));
+        }
+    }
+
+    /// Keeps the pending list before the command's first removal from
+    /// it. Until then the command has only appended past `pending_len`.
+    pub(crate) fn keep_pending(&mut self, pending: &[PendingConnection]) {
+        if self.pending.is_none() {
+            self.pending = Some(pending[..self.pending_len].to_vec());
+        }
+    }
+
+    /// Keeps the edit cell's header before the command rewrites it.
+    pub(crate) fn keep_header(&mut self, cell: &Cell) {
+        if self.header.is_none() {
+            self.header = Some((cell.bbox, cell.connectors.clone()));
+        }
+    }
 }
 
 /// One applied command with its inverse.
@@ -138,18 +150,20 @@ impl History {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::library::Library;
 
     #[test]
     fn stack_discipline() {
         let mut h = History::default();
         assert_eq!(h.undo_len(), 0);
+        let empty = UndoRecord::open(Library::new().checkpoint(), 0, 0);
         h.push_applied(Applied {
             command: Command::Finish,
-            undo: UndoRecord::PopPending,
+            undo: empty.clone(),
         });
         h.push_applied(Applied {
             command: Command::ClearPending,
-            undo: UndoRecord::PopInstance,
+            undo: empty,
         });
         assert_eq!(h.undo_len(), 2);
         let a = h.pop_undo().unwrap();
@@ -160,5 +174,23 @@ mod tests {
         h.push_redo(Command::Finish);
         h.clear_redo();
         assert_eq!(h.redo_len(), 0);
+    }
+
+    #[test]
+    fn a_record_keeps_only_the_first_prior_value() {
+        let mut lib = Library::new();
+        let cell = lib.add_cell(Cell::new_composition("TOP")).unwrap();
+        let first = Instance::new("A", cell, Rect::new(0, 0, 10, 10));
+        let mut later = first.clone();
+        later.cols = 3;
+        let mut r = UndoRecord::open(lib.checkpoint(), 1, 0);
+        r.keep_slot(InstanceId(0), &first);
+        r.keep_slot(InstanceId(0), &later);
+        r.keep_slot(InstanceId(1), &later);
+        assert_eq!(
+            r.prior,
+            vec![(InstanceId(0), first)],
+            "created slots need nothing"
+        );
     }
 }

@@ -62,7 +62,6 @@ pub mod persist;
 pub mod record;
 pub mod replay;
 pub mod routeplan;
-mod txn;
 
 pub use cell::{Cell, CellId, CellKind, Connector, LeafSource};
 pub use command::{Command, Outcome};

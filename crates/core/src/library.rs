@@ -24,7 +24,7 @@ pub struct Library {
 /// During an editing session the cell list only grows (route cells and
 /// stretched cells are appended), so truncating back to the recorded
 /// length and restoring the route-name counter undoes everything a
-/// failed compound command added to the menu.
+/// failed or undone command added to the menu.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LibraryCheckpoint {
     /// Menu length at capture. Crate-visible for `crate::persist`.

@@ -18,7 +18,8 @@
 //! Commands — in the journal, the undo stack and the redo stack — are
 //! stored as their `command_to_line` text, the same canonical form the
 //! WAL uses, so the snapshot's command encoding is proven by the same
-//! round-trip tests. Undo records are tagged structs.
+//! round-trip tests. An undo record holds the state its command
+//! replaced, so its size follows the command's change, not the session.
 //!
 //! The encoding is **canonical**: encoding the decode of an encoding
 //! reproduces the bytes exactly. Tests lean on this — byte equality is
@@ -40,12 +41,12 @@ use crate::history::{Applied, History, UndoRecord};
 use crate::instance::{Instance, InstanceId};
 use crate::library::{Library, LibraryCheckpoint};
 use crate::replay::{command_to_line, parse_command_line, Journal};
-use crate::txn;
 use riot_geom::{Layer, Orientation, Path, Point, Rect, Side, Transform};
 use std::fmt;
 
-/// Format version written as the first payload byte.
-const VERSION: u8 = 1;
+/// Format version written as the first payload byte. Version 2 holds
+/// one undo record per command; version 1 payloads are refused.
+const VERSION: u8 = 2;
 
 /// Why encoding or decoding a session failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,10 +122,7 @@ pub fn encode_session(lib: &Library, cp: &Checkpoint) -> Result<Vec<u8>, Persist
         put_cell(&mut out, cell);
     }
     put_u64(&mut out, cp.cell.index() as u64);
-    put_u32(&mut out, cp.pending.len() as u32);
-    for conn in &cp.pending {
-        put_conn(&mut out, conn);
-    }
+    put_conns(&mut out, &cp.pending);
     put_u32(&mut out, cp.warnings.len() as u32);
     for w in &cp.warnings {
         put_str(&mut out, w);
@@ -213,11 +211,35 @@ fn put_transform(out: &mut Vec<u8>, t: Transform) {
     put_point(out, t.offset);
 }
 
-fn put_conn(out: &mut Vec<u8>, c: &PendingConnection) {
-    put_u64(out, c.from.index() as u64);
-    put_str(out, &c.from_connector);
-    put_u64(out, c.to.index() as u64);
-    put_str(out, &c.to_connector);
+fn put_conns(out: &mut Vec<u8>, conns: &[PendingConnection]) {
+    put_u32(out, conns.len() as u32);
+    for c in conns {
+        put_u64(out, c.from.index() as u64);
+        put_str(out, &c.from_connector);
+        put_u64(out, c.to.index() as u64);
+        put_str(out, &c.to_connector);
+    }
+}
+
+/// A `0` tag for `None`, or a `1` tag and the value.
+fn put_opt<T: ?Sized>(out: &mut Vec<u8>, v: Option<&T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
+    match v {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            put(out, v);
+        }
+    }
+}
+
+fn put_connectors(out: &mut Vec<u8>, connectors: &[Connector]) {
+    put_u32(out, connectors.len() as u32);
+    for c in connectors {
+        put_str(out, &c.name);
+        put_point(out, c.location);
+        out.push(index_in(&Layer::ALL, c.layer));
+        put_i64(out, c.width);
+    }
 }
 
 fn put_instance(out: &mut Vec<u8>, inst: &Instance) {
@@ -233,13 +255,7 @@ fn put_instance(out: &mut Vec<u8>, inst: &Instance) {
 fn put_cell(out: &mut Vec<u8>, cell: &Cell) {
     put_str(out, &cell.name);
     put_rect(out, cell.bbox);
-    put_u32(out, cell.connectors.len() as u32);
-    for c in &cell.connectors {
-        put_str(out, &c.name);
-        put_point(out, c.location);
-        out.push(index_in(&Layer::ALL, c.layer));
-        put_i64(out, c.width);
-    }
+    put_connectors(out, &cell.connectors);
     match &cell.kind {
         CellKind::Leaf(LeafSource::Cif { shapes }) => {
             out.push(0);
@@ -256,13 +272,7 @@ fn put_cell(out: &mut Vec<u8>, cell: &Cell) {
             out.push(2);
             put_u32(out, comp.instances.len() as u32);
             for slot in &comp.instances {
-                match slot {
-                    None => out.push(0),
-                    Some(inst) => {
-                        out.push(1);
-                        put_instance(out, inst);
-                    }
-                }
+                put_opt(out, slot.as_ref(), put_instance);
             }
         }
     }
@@ -333,62 +343,20 @@ fn put_sticks(out: &mut Vec<u8>, s: &riot_sticks::SticksCell) {
 }
 
 fn put_undo(out: &mut Vec<u8>, undo: &UndoRecord) {
-    match undo {
-        UndoRecord::PopInstance => out.push(0),
-        UndoRecord::Transform { id, prev } => {
-            out.push(1);
-            put_u64(out, id.index() as u64);
-            put_transform(out, *prev);
-        }
-        UndoRecord::Replicate { id, cols, rows } => {
-            out.push(2);
-            put_u64(out, id.index() as u64);
-            put_u32(out, *cols);
-            put_u32(out, *rows);
-        }
-        UndoRecord::Spacing { id, col, row } => {
-            out.push(3);
-            put_u64(out, id.index() as u64);
-            put_i64(out, *col);
-            put_i64(out, *row);
-        }
-        UndoRecord::RestoreInstance {
-            id,
-            instance,
-            pending,
-        } => {
-            out.push(4);
-            put_u64(out, id.index() as u64);
-            put_instance(out, instance);
-            put_u32(out, pending.len() as u32);
-            for c in pending {
-                put_conn(out, c);
-            }
-        }
-        UndoRecord::PopPending => out.push(5),
-        UndoRecord::InsertPending { index, conn } => {
-            out.push(6);
-            put_u64(out, *index as u64);
-            put_conn(out, conn);
-        }
-        UndoRecord::RestorePending(pending) => {
-            out.push(7);
-            put_u32(out, pending.len() as u32);
-            for c in pending {
-                put_conn(out, c);
-            }
-        }
-        UndoRecord::Snapshot(snap) => {
-            out.push(8);
-            put_u64(out, snap.checkpoint.cells_len as u64);
-            put_u64(out, snap.checkpoint.route_counter as u64);
-            put_cell(out, &snap.edit_cell);
-            put_u32(out, snap.pending.len() as u32);
-            for c in &snap.pending {
-                put_conn(out, c);
-            }
-        }
+    put_u64(out, undo.menu.cells_len as u64);
+    put_u64(out, undo.menu.route_counter as u64);
+    put_u64(out, undo.slots as u64);
+    put_u32(out, undo.prior.len() as u32);
+    for (id, inst) in &undo.prior {
+        put_u64(out, id.index() as u64);
+        put_instance(out, inst);
     }
+    put_u64(out, undo.pending_len as u64);
+    put_opt(out, undo.pending.as_deref(), put_conns);
+    put_opt(out, undo.header.as_ref(), |out, (bbox, connectors)| {
+        put_rect(out, *bbox);
+        put_connectors(out, connectors);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -534,6 +502,19 @@ impl<'a> Cur<'a> {
         ))
     }
 
+    /// Decodes a [`put_opt`] value.
+    fn opt<T>(
+        &mut self,
+        what: &'static str,
+        get: impl FnOnce(&mut Self) -> Result<T, PersistError>,
+    ) -> Result<Option<T>, PersistError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => get(self).map(Some),
+            tag => Err(PersistError::BadTag { what, tag }),
+        }
+    }
+
     /// Decodes an `ALL`-indexed enum tag.
     fn tagged<T: Copy>(&mut self, all: &[T], what: &'static str) -> Result<T, PersistError> {
         let tag = self.u8()?;
@@ -577,6 +558,20 @@ fn get_conns(cur: &mut Cur<'_>) -> Result<Vec<PendingConnection>, PersistError> 
     Ok(out)
 }
 
+fn get_connectors(cur: &mut Cur<'_>) -> Result<Vec<Connector>, PersistError> {
+    let n = cur.u32()? as usize;
+    let mut connectors = Vec::with_capacity(n.min(cur.remaining()));
+    for _ in 0..n {
+        connectors.push(Connector {
+            name: cur.string()?,
+            location: cur.point()?,
+            layer: cur.tagged(&Layer::ALL, "layer")?,
+            width: cur.i64()?,
+        });
+    }
+    Ok(connectors)
+}
+
 fn get_instance(cur: &mut Cur<'_>) -> Result<Instance, PersistError> {
     Ok(Instance {
         name: cur.string()?,
@@ -592,16 +587,7 @@ fn get_instance(cur: &mut Cur<'_>) -> Result<Instance, PersistError> {
 fn get_cell(cur: &mut Cur<'_>) -> Result<Cell, PersistError> {
     let name = cur.string()?;
     let bbox = cur.rect()?;
-    let n_conn = cur.u32()? as usize;
-    let mut connectors = Vec::with_capacity(n_conn.min(cur.remaining()));
-    for _ in 0..n_conn {
-        connectors.push(Connector {
-            name: cur.string()?,
-            location: cur.point()?,
-            layer: cur.tagged(&Layer::ALL, "layer")?,
-            width: cur.i64()?,
-        });
-    }
+    let connectors = get_connectors(cur)?;
     let kind = match cur.u8()? {
         0 => {
             let n = cur.u32()? as usize;
@@ -616,16 +602,7 @@ fn get_cell(cur: &mut Cur<'_>) -> Result<Cell, PersistError> {
             let n = cur.u32()? as usize;
             let mut instances = Vec::with_capacity(n.min(cur.remaining()));
             for _ in 0..n {
-                instances.push(match cur.u8()? {
-                    0 => None,
-                    1 => Some(get_instance(cur)?),
-                    tag => {
-                        return Err(PersistError::BadTag {
-                            what: "instance slot",
-                            tag,
-                        })
-                    }
-                });
+                instances.push(cur.opt("instance slot", get_instance)?);
             }
             CellKind::Composition(Composition { instances })
         }
@@ -730,63 +707,23 @@ fn get_sticks(cur: &mut Cur<'_>) -> Result<riot_sticks::SticksCell, PersistError
 }
 
 fn get_undo(cur: &mut Cur<'_>) -> Result<UndoRecord, PersistError> {
-    Ok(match cur.u8()? {
-        0 => UndoRecord::PopInstance,
-        1 => UndoRecord::Transform {
-            id: InstanceId(cur.u64()? as usize),
-            prev: cur.transform()?,
-        },
-        2 => UndoRecord::Replicate {
-            id: InstanceId(cur.u64()? as usize),
-            cols: cur.u32()?,
-            rows: cur.u32()?,
-        },
-        3 => UndoRecord::Spacing {
-            id: InstanceId(cur.u64()? as usize),
-            col: cur.i64()?,
-            row: cur.i64()?,
-        },
-        4 => UndoRecord::RestoreInstance {
-            id: InstanceId(cur.u64()? as usize),
-            instance: Box::new(get_instance(cur)?),
-            pending: get_conns(cur)?,
-        },
-        5 => UndoRecord::PopPending,
-        6 => UndoRecord::InsertPending {
-            index: cur.u64()? as usize,
-            conn: get_conns_one(cur)?,
-        },
-        7 => UndoRecord::RestorePending({
-            let n = cur.u32()? as usize;
-            let mut out = Vec::with_capacity(n.min(cur.remaining()));
-            for _ in 0..n {
-                out.push(get_conns_one(cur)?);
-            }
-            out
-        }),
-        8 => UndoRecord::Snapshot(Box::new(txn::Snapshot {
-            checkpoint: LibraryCheckpoint {
-                cells_len: cur.u64()? as usize,
-                route_counter: cur.u64()? as usize,
-            },
-            edit_cell: get_cell(cur)?,
-            pending: get_conns(cur)?,
-        })),
-        tag => {
-            return Err(PersistError::BadTag {
-                what: "undo record",
-                tag,
-            })
-        }
-    })
-}
-
-fn get_conns_one(cur: &mut Cur<'_>) -> Result<PendingConnection, PersistError> {
-    Ok(PendingConnection {
-        from: InstanceId(cur.u64()? as usize),
-        from_connector: cur.string()?,
-        to: InstanceId(cur.u64()? as usize),
-        to_connector: cur.string()?,
+    let menu = LibraryCheckpoint {
+        cells_len: cur.u64()? as usize,
+        route_counter: cur.u64()? as usize,
+    };
+    let slots = cur.u64()? as usize;
+    let n = cur.u32()? as usize;
+    let mut prior = Vec::with_capacity(n.min(cur.remaining()));
+    for _ in 0..n {
+        prior.push((InstanceId(cur.u64()? as usize), get_instance(cur)?));
+    }
+    Ok(UndoRecord {
+        menu,
+        slots,
+        prior,
+        pending_len: cur.u64()? as usize,
+        pending: cur.opt("pending list", get_conns)?,
+        header: cur.opt("cell header", |cur| Ok((cur.rect()?, get_connectors(cur)?)))?,
     })
 }
 
@@ -855,8 +792,11 @@ E";
 
     #[test]
     fn compound_commands_and_undo_round_trip() {
-        // abut produces a txn-snapshot undo record; undo/redo populate
-        // both history stacks.
+        // The kept records hold every part: prior slots (abut, delete,
+        // stretch), a prior pending list (route, stretch), a menu
+        // checkpoint that later cells pass (route, stretch) and a cell
+        // header (finish, undone and redone). The last undo leaves both
+        // history stacks populated.
         let (lib, cp) = scripted_session(&[
             "create inv A",
             "create inv B",
@@ -867,8 +807,23 @@ E";
             "create inv C",
             "delete C",
             "undo",
+            "route move",
+            "create inv D",
+            "translate D 0 5000",
+            "connect D IN C OUT",
+            "stretch",
+            "finish",
+            "undo",
+            "redo",
+            "create inv E",
+            "undo",
         ]);
-        assert!(cp.undo_depth() > 0);
+        let kept = &cp.history.undo;
+        assert!(kept.iter().any(|a| !a.undo.prior.is_empty()));
+        assert!(kept.iter().any(|a| a.undo.pending.is_some()));
+        assert!(kept.iter().any(|a| a.undo.menu.cells_len < lib.len()));
+        assert!(kept.iter().any(|a| a.undo.header.is_some()));
+        assert_eq!(cp.history.redo.len(), 1);
         assert_round_trip(&lib, &cp);
     }
 
@@ -895,6 +850,17 @@ E";
                 Ok(_) => panic!("prefix of {len} bytes decoded successfully"),
             }
         }
+    }
+
+    #[test]
+    fn version_1_payloads_are_refused() {
+        let (lib, cp) = scripted_session(&["create inv A"]);
+        let mut bytes = encode_session(&lib, &cp).unwrap();
+        bytes[0] = 1;
+        assert_eq!(
+            decode_session(&bytes).unwrap_err(),
+            PersistError::BadVersion(1)
+        );
     }
 
     #[test]

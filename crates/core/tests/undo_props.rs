@@ -1,9 +1,13 @@
 //! Property tests for the undo/redo engine: any random command applied
 //! to a session can be undone back to the prior library state, and
-//! `undo; redo` is idempotent on the library.
+//! `undo; redo` is idempotent on the library. The actions reach every
+//! command kind that grows the menu (route, stretch, bring-out) or
+//! rewrites the cell header (finish).
 
 use proptest::prelude::*;
-use riot_core::{AbutOptions, Editor, InstanceId, Library, RiotError};
+use riot_core::{
+    AbutOptions, Editor, InstanceId, Library, RiotError, RouteOptions, StretchOptions,
+};
 use riot_geom::{Orientation, Point, LAMBDA};
 
 const GATE: &str = "\
@@ -28,10 +32,18 @@ wire NP 2 0 14 10 14
 end
 ";
 
+/// The two cells, and a `TOP` that already holds a gate to the right
+/// of a driver, so the connection commands have something to connect.
 fn fresh_library() -> Library {
     let mut lib = Library::new();
-    lib.load_sticks(GATE).unwrap();
-    lib.load_sticks(DRIVER).unwrap();
+    let gate = lib.load_sticks(GATE).unwrap();
+    let driver = lib.load_sticks(DRIVER).unwrap();
+    let mut ed = Editor::open(&mut lib, "TOP").unwrap();
+    let g = ed.create_instance(gate).unwrap();
+    ed.create_instance(driver).unwrap();
+    ed.translate_instance(g, Point::new(40 * LAMBDA, 0))
+        .unwrap();
+    drop(ed);
     lib
 }
 
@@ -44,42 +56,63 @@ enum Action {
     Replicate(usize, u32, u32),
     Spacing(usize, i64, i64),
     Delete(usize),
-    Connect(usize, usize),
+    Connect(usize, usize, bool),
     RemovePending(usize),
     ClearPending,
     Abut,
+    Route(bool),
+    Stretch,
+    BringOut(usize),
+    Finish,
 }
 
 fn action_strategy() -> impl Strategy<Value = Action> {
+    // Half the draws are the connection commands, so the ones that
+    // consume the pending list often find it filled.
     prop_oneof![
-        prop::bool::ANY.prop_map(Action::Create),
-        (0usize..6, -40i64..40, -40i64..40).prop_map(|(i, x, y)| Action::Translate(
-            i,
-            x * LAMBDA,
-            y * LAMBDA
-        )),
-        (0usize..6, 0u8..8).prop_map(|(i, o)| Action::Orient(i, o)),
-        (0usize..6, 1u32..4, 1u32..4).prop_map(|(i, c, r)| Action::Replicate(i, c, r)),
-        (0usize..6, 1i64..40, 1i64..40).prop_map(|(i, c, r)| Action::Spacing(
-            i,
-            c * LAMBDA,
-            r * LAMBDA
-        )),
-        (0usize..6).prop_map(Action::Delete),
-        (0usize..6, 0usize..6).prop_map(|(a, b)| Action::Connect(a, b)),
-        (0usize..4).prop_map(Action::RemovePending),
-        Just(Action::ClearPending),
-        Just(Action::Abut),
+        prop_oneof![
+            (0usize..6, 0usize..6, prop::bool::ANY).prop_map(|(a, b, y)| Action::Connect(a, b, y)),
+            Just(Action::Abut),
+            prop::bool::ANY.prop_map(Action::Route),
+            Just(Action::Stretch),
+        ],
+        prop_oneof![
+            prop::bool::ANY.prop_map(Action::Create),
+            (0usize..6, -40i64..40, -40i64..40).prop_map(|(i, x, y)| Action::Translate(
+                i,
+                x * LAMBDA,
+                y * LAMBDA
+            )),
+            (0usize..6, 0u8..8).prop_map(|(i, o)| Action::Orient(i, o)),
+            (0usize..6, 1u32..4, 1u32..4).prop_map(|(i, c, r)| Action::Replicate(i, c, r)),
+            (0usize..6, 1i64..40, 1i64..40).prop_map(|(i, c, r)| Action::Spacing(
+                i,
+                c * LAMBDA,
+                r * LAMBDA
+            )),
+            (0usize..6).prop_map(Action::Delete),
+            (0usize..4).prop_map(Action::RemovePending),
+            Just(Action::ClearPending),
+            (0usize..6).prop_map(Action::BringOut),
+            Just(Action::Finish),
+        ],
     ]
 }
 
 fn pick(ed: &Editor<'_>, i: usize) -> Option<InstanceId> {
-    let live = ed.instances();
-    if live.is_empty() {
-        None
-    } else {
-        Some(live[i % live.len()].0)
-    }
+    pick_of(ed, "", i)
+}
+
+/// The `i`-th live instance (modulo) of a cell whose name starts with
+/// `kind`; stretched gates (`gate'`) count as gates.
+fn pick_of(ed: &Editor<'_>, kind: &str, i: usize) -> Option<InstanceId> {
+    let live: Vec<InstanceId> = ed
+        .instances()
+        .into_iter()
+        .filter(|(id, _)| ed.instance_cell(*id).unwrap().name.starts_with(kind))
+        .map(|(id, _)| id)
+        .collect();
+    (!live.is_empty()).then(|| live[i % live.len()])
 }
 
 const ORIENTS: [Orientation; 8] = [
@@ -129,17 +162,44 @@ fn apply(ed: &mut Editor<'_>, action: &Action) -> bool {
                     ed.delete_instance(id)?;
                 }
             }
-            Action::Connect(a, b) => {
-                if let (Some(f), Some(t)) = (pick(ed, *a), pick(ed, *b)) {
-                    // The canonical gate->driver pairing; geometry may
+            Action::Connect(a, b, y) => {
+                if let (Some(f), Some(t)) = (pick_of(ed, "gate", *a), pick_of(ed, "driver", *b)) {
+                    // A canonical gate->driver pairing; geometry may
                     // reject it, which is fine.
-                    let _ = ed.connect(f, "A", t, "X");
+                    let (fc, tc) = if *y { ("B", "Y") } else { ("A", "X") };
+                    let _ = ed.connect(f, fc, t, tc);
                 }
             }
             Action::RemovePending(i) => ed.remove_pending(*i),
             Action::ClearPending => ed.clear_pending(),
             Action::Abut => {
                 let _ = ed.abut(AbutOptions::default());
+            }
+            Action::Route(move_from) => {
+                ed.route(RouteOptions {
+                    move_from: *move_from,
+                    ..RouteOptions::default()
+                })?;
+            }
+            Action::Stretch => {
+                ed.stretch(StretchOptions::default())?;
+            }
+            Action::BringOut(i) => {
+                if let Some(id) = pick(ed, *i) {
+                    // Gates (and their stretched copies) bring out OUT,
+                    // drivers X, on whichever side it faces now.
+                    let name = if ed.instance_cell(id)?.name.starts_with("gate") {
+                        "OUT"
+                    } else {
+                        "X"
+                    };
+                    if let Some(side) = ed.world_connector(id, name)?.side {
+                        ed.bring_out(id, &[name], side)?;
+                    }
+                }
+            }
+            Action::Finish => {
+                ed.finish()?;
             }
         }
         Ok(())
@@ -149,7 +209,7 @@ fn apply(ed: &mut Editor<'_>, action: &Action) -> bool {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// `apply; undo` restores the exact prior library state.
     #[test]

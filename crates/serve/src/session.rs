@@ -366,11 +366,17 @@ impl SessionEntry {
     /// plan the codec refuses to persist — is contained: compaction is
     /// skipped, the full WAL still holds every record, the session
     /// keeps running, and recovery falls back to full replay.
+    ///
+    /// The `serve.snapshot.cut` span covers the whole cut (encode,
+    /// write, fsync, rename and compaction), with the records it
+    /// `covered` and the payload `bytes`.
     pub fn snapshot_now(&mut self, root: &Path, faults: &ServeFaults) -> bool {
+        let mut sp = riot_trace::span("serve.snapshot.cut");
         let Some(cp) = self.cp.as_ref() else {
             return false;
         };
         let covered = self.durable_records;
+        sp.field("covered", covered as u64);
         if cp.journal().commands().len() != covered {
             // Only fully-flushed states are snapshot-consistent: the
             // snapshot's journal must equal the durable WAL prefix.
@@ -379,6 +385,7 @@ impl SessionEntry {
         let Ok(payload) = encode_session(&self.lib, cp) else {
             return false;
         };
+        sp.field("bytes", payload.len() as u64);
         if write_snapshot(root, &self.name, covered as u64, &payload, faults).is_err() {
             return false;
         }

@@ -1,11 +1,13 @@
 //! Telemetry-plane integration tests: wire-propagated trace context
-//! decomposing into server-side child spans, the HTTP scrape endpoint,
-//! the `telemetry`/`dump` wire verbs, and percentile stats lines.
+//! decomposing into server-side child spans, the snapshot-cut span, the
+//! HTTP scrape endpoint, the `telemetry`/`dump` wire verbs, and
+//! percentile stats lines.
 
 use riot_serve::{Bind, Client, FlightRecorder, ServeConfig, Server, TelemetryFormat};
 use riot_trace::{fresh_trace_id, Snapshot, TraceContext};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 fn temp_root(tag: &str) -> std::path::PathBuf {
@@ -14,12 +16,20 @@ fn temp_root(tag: &str) -> std::path::PathBuf {
     root
 }
 
+/// The tests that switch span recording on take turns: one must not
+/// switch it off under the other.
+fn tracing_turn() -> MutexGuard<'static, ()> {
+    static TRACING: Mutex<()> = Mutex::new(());
+    TRACING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// A traced, pipelined `cmd` must decompose into the full server-side
 /// span chain — decode, queue-wait, apply, wal-flush — all carrying
 /// the **client's** trace id. This is the acceptance bar for the wire
 /// propagation: one client span explains the whole server round trip.
 #[test]
 fn traced_cmd_decomposes_into_server_side_child_spans() {
+    let _turn = tracing_turn();
     riot_trace::enable(true);
     let root = temp_root("traced");
     let mut cfg = ServeConfig::new(&root);
@@ -65,6 +75,45 @@ fn traced_cmd_decomposes_into_server_side_child_spans() {
     c.shutdown_server().unwrap();
     h.wait();
     riot_trace::enable(false);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// The snapshot cut runs on the worker thread after a flush pass: one
+/// `serve.snapshot.cut` span covers it, with the records it covered and
+/// the payload bytes it wrote.
+#[test]
+fn snapshot_cut_is_spanned() {
+    let _turn = tracing_turn();
+    riot_trace::enable(true);
+    let root = temp_root("cut");
+    let mut cfg = ServeConfig::new(&root);
+    cfg.threads = 1;
+    cfg.snapshot_every = 4;
+    let h = Server::start(cfg, &Bind::Tcp("127.0.0.1:0".into())).unwrap();
+    let mut c = Client::connect(&h.addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    c.open("cut", "TOP").unwrap();
+    for k in 0..8 {
+        c.cmd("cut", &format!("create nand2 C{k}")).unwrap();
+    }
+    // Shutting down drains the worker, so every cut has closed.
+    c.shutdown_server().unwrap();
+    h.wait();
+    riot_trace::enable(false);
+
+    let field =
+        |fields: &[(&str, u64)], key: &str| fields.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
+    let cuts: Vec<Vec<(&str, u64)>> = riot_trace::recorder()
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.name == "serve.snapshot.cut")
+        .map(|s| s.fields)
+        .collect();
+    assert!(
+        cuts.iter()
+            .any(|f| field(f, "covered") >= Some(4) && field(f, "bytes") > Some(0)),
+        "no cut covering the interval with a payload: {cuts:?}"
+    );
     let _ = std::fs::remove_dir_all(root);
 }
 
