@@ -7,18 +7,18 @@
 //!
 //! For each style and size the suite builds the block with
 //! [`build_logic`] and replays the journal that build recorded on a
-//! fresh [`logic_menu`] two ways: through one editor, and with
-//! `Editor::suspend` / `Editor::resume` around every command, as a host
-//! that parks its sessions between commands runs it. A replay's time
-//! counts only if the replay measures like the build, and the resumed
-//! session is timed only after it re-encodes to the same bytes through
-//! an `encode_session` / `decode_session` round trip. Each time is the
+//! fresh [`logic_menu`] through one editor that owns the menu, as a host
+//! keeps a session between commands. A replay's time counts only if the
+//! replay measures like the build, and the replayed session is timed
+//! only after it re-encodes to the same bytes through an
+//! `encode_session` / `decode_session` round trip. Each time is the
 //! fastest of [`PASSES`]:
 //!
-//! * the two replays (`live_ns`, `resumed_ns`), and each command kind's
-//!   share of the fastest live pass (`<kind>.count`, `<kind>.total_ns`,
-//!   with tracing off; `profile` is the traced view);
-//! * the resumed session's `session_bytes`, `encode_ns` and `decode_ns`;
+//! * the replay (`live_ns`), and each command kind's share of the
+//!   fastest pass (`<kind>.count`, `<kind>.total_ns`, with tracing off;
+//!   `profile` is the traced view);
+//! * the replayed session's `session_bytes`, `encode_ns` and
+//!   `decode_ns`;
 //! * CIF export, flatten and DRC of the block (`export_ns`,
 //!   `flatten_ns`, `flat_shapes`, `drc_ns`, `violations`);
 //! * every instance's world connectors, cached against rebuilt
@@ -31,7 +31,7 @@
 
 use crate::harness::{best_of, timed, write, Flags, Report};
 use riot::core::measure::measure;
-use riot::core::{decode_session, encode_session, Checkpoint, Command, Editor, Library, RiotError};
+use riot::core::{decode_session, encode_session, Command, Editor, Library, RiotError};
 use riot::drc::RuleSet;
 use riot::filter::{build_logic, logic_menu, FilterLogic, LogicStyle};
 use riot::geom::{par, LAMBDA};
@@ -70,13 +70,12 @@ const SESSION_GROWTH_TENTHS: u64 = 22;
 
 /// The measures of every `<style>.<bits>` point beside its per-kind
 /// ones. Those ending in `_ns` are timings and must be positive.
-const MEASURES: [&str; 16] = [
+const MEASURES: [&str; 15] = [
     "commands",
     "width",
     "height",
     "route_cells",
     "live_ns",
-    "resumed_ns",
     "session_bytes",
     "encode_ns",
     "decode_ns",
@@ -100,20 +99,19 @@ type Kinds = BTreeMap<&'static str, (u64, u64)>;
 pub fn run(flags: &Flags) -> Result<(), String> {
     let r = sweep(&BITS)?;
     println!(
-        "{:<10} {:>5} {:>6} {:>10} {:>6} {:>9} {:>9} {:>9} {:>9} {:>5}",
-        "style", "bits", "cmds", "w x h λ", "routes", "live", "resumed", "session", "drc", "viol"
+        "{:<10} {:>5} {:>6} {:>10} {:>6} {:>9} {:>9} {:>9} {:>5}",
+        "style", "bits", "cmds", "w x h λ", "routes", "live", "session", "drc", "viol"
     );
     for bits in BITS {
         for style in STYLES {
             let v = |m: &str| r.metrics[&format!("{}.{bits}.{m}", style.name())];
             println!(
-                "{:<10} {bits:>5} {:>6} {:>10} {:>6} {:>9} {:>9} {:>8}K {:>9} {:>5}",
+                "{:<10} {bits:>5} {:>6} {:>10} {:>6} {:>9} {:>8}K {:>9} {:>5}",
                 style.name(),
                 v("commands"),
                 format!("{}x{}", v("width"), v("height")),
                 v("route_cells"),
                 fmt_ns(v("live_ns")),
-                fmt_ns(v("resumed_ns")),
                 v("session_bytes") / 1024,
                 fmt_ns(v("drc_ns")),
                 v("violations"),
@@ -154,39 +152,31 @@ fn point(r: &mut Report, style: LogicStyle, bits: usize) -> Result<(), Box<dyn E
         journal,
     } = build_logic(bits, style)?;
     let commands = &journal.commands()[1..];
-    let same_area = |lib: &Library, how: &str| -> Result<(), Box<dyn Error>> {
-        let got = measure(lib, &cell)?;
-        if got == report {
-            Ok(())
-        } else {
-            Err(format!("the {how} replay measures {got:?}, the build {report:?}").into())
-        }
-    };
 
     let mut fastest: Option<(u64, Kinds)> = None;
-    let (mut resumed_ns, mut session) = (u64::MAX, None);
+    let mut session = None;
     for _ in 0..PASSES {
         // One replay's history in memory at a time.
         drop(session.take());
-        let (ns, kinds, replayed) = live(&cell, commands)?;
-        same_area(&replayed, "live")?;
+        let (ns, kinds, ed) = live(&cell, commands)?;
+        let got = measure(ed.library(), &cell)?;
+        if got != report {
+            return Err(format!("the replay measures {got:?}, the build {report:?}").into());
+        }
         if fastest.as_ref().is_none_or(|(best, _)| ns < *best) {
             fastest = Some((ns, kinds));
         }
-        let (ns, replayed, cp) = resumed(&cell, commands)?;
-        same_area(&replayed, "resumed")?;
-        resumed_ns = resumed_ns.min(ns);
-        session = Some((replayed, cp));
+        session = Some(ed);
     }
     let (live_ns, kinds) = fastest.expect("at least one pass");
-    let (resumed_lib, cp) = session.expect("at least one pass");
+    let ed = session.expect("at least one pass");
 
-    let bytes = encode_session(&resumed_lib, &cp)?;
-    if decode_session(&bytes).and_then(|(lib, cp)| encode_session(&lib, &cp))? != bytes {
+    let bytes = encode_session(&ed)?;
+    if encode_session(&decode_session(&bytes)?)? != bytes {
         return Err("the decoded session re-encodes to other bytes".into());
     }
-    let (encode_ns, _) = best_of(PASSES, || encode_session(&resumed_lib, &cp));
-    drop((resumed_lib, cp));
+    let (encode_ns, _) = best_of(PASSES, || encode_session(&ed));
+    drop(ed);
     let (decode_ns, _) = best_of(PASSES, || decode_session(&bytes));
 
     let (export_ns, cif) = best_of(PASSES, || riot::core::export::to_cif(&lib, &cell));
@@ -204,7 +194,6 @@ fn point(r: &mut Report, style: LogicStyle, bits: usize) -> Result<(), Box<dyn E
         ("height", (report.bbox.height() / LAMBDA) as u64),
         ("route_cells", report.route_instances as u64),
         ("live_ns", live_ns),
-        ("resumed_ns", resumed_ns),
         ("session_bytes", bytes.len() as u64),
         ("encode_ns", encode_ns),
         ("decode_ns", decode_ns),
@@ -225,14 +214,14 @@ fn point(r: &mut Report, style: LogicStyle, bits: usize) -> Result<(), Box<dyn E
     Ok(())
 }
 
-/// One replay of `commands` on `cell` through one editor on a fresh
-/// menu: the pass's wall time, each kind's count and execute time, and
-/// the library it built.
-fn live(cell: &str, commands: &[Command]) -> Result<(u64, Kinds, Library), RiotError> {
-    let mut lib = logic_menu()?;
+/// One replay of `commands` on `cell` through one editor that owns a
+/// fresh menu: the pass's wall time, each kind's count and execute
+/// time, and the editor, which is dropped outside the timing.
+fn live(cell: &str, commands: &[Command]) -> Result<(u64, Kinds, Editor<'static>), RiotError> {
+    let lib = logic_menu()?;
     let mut kinds = Kinds::new();
-    let (ns, done) = timed(|| {
-        let mut ed = Editor::open(&mut lib, cell)?;
+    let (ns, ed) = timed(|| {
+        let mut ed = Editor::open_owned(lib, cell)?;
         for cmd in commands {
             let (kind, cmd) = (cmd.kind_name(), cmd.clone());
             let (ns, done) = timed(|| ed.execute(cmd));
@@ -241,29 +230,9 @@ fn live(cell: &str, commands: &[Command]) -> Result<(u64, Kinds, Library), RiotE
             k.0 += 1;
             k.1 += ns;
         }
-        // Like the resumed pass, end suspended: freeing the history is
-        // not part of either pass.
-        Ok::<_, RiotError>(ed.suspend())
+        Ok::<_, RiotError>(ed)
     });
-    done?;
-    Ok((ns, kinds, lib))
-}
-
-/// One replay of `commands` on `cell` on a fresh menu, suspending the
-/// session after every command and resuming it for the next: the
-/// pass's wall time, the library it built and the suspended session.
-fn resumed(cell: &str, commands: &[Command]) -> Result<(u64, Library, Checkpoint), RiotError> {
-    let mut lib = logic_menu()?;
-    let (ns, cp) = timed(|| {
-        let mut cp = Editor::open(&mut lib, cell)?.suspend();
-        for cmd in commands {
-            let mut ed = Editor::resume(&mut lib, cp)?;
-            ed.execute(cmd.clone())?;
-            cp = ed.suspend();
-        }
-        Ok::<_, RiotError>(cp)
-    });
-    Ok((ns, lib, cp?))
+    Ok((ns, kinds, ed?))
 }
 
 /// [`CONNECTOR_ROUNDS`] passes over every instance of `cell`'s world

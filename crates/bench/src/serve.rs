@@ -22,7 +22,6 @@
 //! as a cliff along it.
 
 use crate::harness::{timed, write, Flags, Report};
-use riot::core::Editor;
 use riot::serve::session::execute_line;
 use riot::serve::{
     standard_library, Bind, BoundAddr, Client, Reply, ReplyBody, RequestBody, ServeConfig,
@@ -253,14 +252,12 @@ fn run_conn_point(connections: usize, load: Load) -> Result<Tally, String> {
 }
 
 /// Builds WAL history by applying `range` of the command mix directly
-/// to a session entry: resume, execute, suspend, one flush.
+/// to a session's editor, then one flush.
 fn apply_lines(entry: &mut SessionEntry, range: std::ops::Range<usize>) -> Result<(), String> {
-    let cp = entry.cp.take().ok_or("session has no checkpoint")?;
-    let mut ed = Editor::resume(&mut entry.lib, cp).map_err(|e| format!("resume: {e}"))?;
     for i in range {
-        execute_line(&mut ed, &command_line(i)).map_err(|e| format!("command {i}: {e}"))?;
+        execute_line(entry.editor_mut(), &command_line(i))
+            .map_err(|e| format!("command {i}: {e}"))?;
     }
-    entry.cp = Some(ed.suspend());
     entry.sync_all().map_err(|e| format!("flush: {e}"))
 }
 

@@ -62,11 +62,6 @@ impl DamageJournal {
         }
     }
 
-    /// Marks everything dirty (rollback fallback, cell finish).
-    pub(crate) fn record_full(&mut self) {
-        self.full = true;
-    }
-
     /// Hands the accumulated damage to a consumer and resets.
     pub(crate) fn take(&mut self) -> Damage {
         let full = std::mem::take(&mut self.full);

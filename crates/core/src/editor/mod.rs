@@ -14,7 +14,8 @@
 //! 3. journals the applied command for REPLAY;
 //! 4. pushes the record onto the undo stack;
 //! 5. announces what changed on the event bus ([`crate::events`]),
-//!    which incrementally invalidates the derived-geometry caches.
+//!    which incrementally invalidates the derived-geometry caches and
+//!    records the world-space damage [`Editor::take_damage`] hands out.
 //!
 //! The same `execute` entry point serves interactive editing, journal
 //! replay, and redo — there is exactly one dispatch over commands in
@@ -41,11 +42,8 @@ use cache::{DamageJournal, DerivedCache};
 use riot_geom::{Rect, LAMBDA};
 use riot_rest::SolveMode;
 use riot_route::RouterOptions;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-
-/// Events queued for [`Editor::drain_events`] are capped; when nobody
-/// drains them, the oldest half is dropped to bound memory.
-const MAX_QUEUED_EVENTS: usize = 16_384;
 
 /// Options for [`Editor::abut`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,84 +96,70 @@ impl Default for StretchOptions {
 ///
 /// Owns the pending connection list ("shown on the screen constantly"),
 /// the warning stream, the REPLAY journal, the undo/redo history, and
-/// the derived-geometry caches.
+/// the derived-geometry caches. The library it edits is either borrowed
+/// from the caller ([`Editor::open`]) or owned by the session itself
+/// ([`Editor::open_owned`], [`crate::decode_session`]): a long-lived
+/// host such as `riot-serve` keeps one owning editor per session, so
+/// its caches and damage stay warm from one command to the next.
 #[derive(Debug)]
 pub struct Editor<'a> {
-    lib: &'a mut Library,
-    cell: CellId,
-    pending: Vec<PendingConnection>,
-    warnings: Vec<String>,
-    journal: Journal,
-    instance_counter: usize,
-    history: History,
-    events: Vec<ChangeEvent>,
+    /// Crate-visible, like the session state that follows, so that
+    /// `crate::persist` can encode a session and decode it again.
+    pub(crate) lib: Menu<'a>,
+    pub(crate) cell: CellId,
+    pub(crate) pending: Vec<PendingConnection>,
+    pub(crate) warnings: Vec<String>,
+    pub(crate) journal: Journal,
+    pub(crate) instance_counter: usize,
+    pub(crate) history: History,
     cache: DerivedCache,
     damage: DamageJournal,
-    stats: Stats,
-    fault: Option<FaultPlan>,
+    /// Engine counters, without the live cache's tallies (see
+    /// [`Editor::stats`]).
+    pub(crate) stats: Stats,
+    pub(crate) fault: Option<FaultPlan>,
     /// The undo record of the command being applied; `None` between
     /// commands.
     txn: Option<UndoRecord>,
 }
 
-/// A suspended editing session: everything an [`Editor`] owns besides
-/// the borrowed library, captured by [`Editor::suspend`] and revived by
-/// [`Editor::resume`].
-///
-/// A checkpoint is inert data — it can be stored in a map, moved across
-/// threads, and held for as long as the owning [`Library`] lives. The
-/// `riot-serve` session manager keeps one per idle session so a fixed
-/// worker pool can host thousands of sessions without keeping a
-/// borrow-locked editor alive for each.
+/// The library an [`Editor`] edits: the caller's, or its own.
 #[derive(Debug)]
-pub struct Checkpoint {
-    /// The cell under edit. Fields are crate-visible so
-    /// `crate::persist` can serialize a suspended session to bytes and
-    /// rebuild it without replaying its history.
-    pub(crate) cell: CellId,
-    /// The pending-connection list at suspension.
-    pub(crate) pending: Vec<PendingConnection>,
-    /// Warnings accumulated but not yet drained.
-    pub(crate) warnings: Vec<String>,
-    /// Every accepted command, `edit` head first.
-    pub(crate) journal: Journal,
-    /// Next instance-name ordinal.
-    pub(crate) instance_counter: usize,
-    /// Undo/redo stacks.
-    pub(crate) history: History,
-    /// Cumulative engine counters.
-    pub(crate) stats: Stats,
-    /// Armed fault plan, if any (never serialized).
-    pub(crate) fault: Option<FaultPlan>,
+pub(crate) enum Menu<'a> {
+    Borrowed(&'a mut Library),
+    Owned(Library),
 }
 
-impl Checkpoint {
-    /// The cell the suspended session was editing.
-    pub fn cell(&self) -> CellId {
-        self.cell
-    }
+impl Deref for Menu<'_> {
+    type Target = Library;
 
-    /// The suspended session's journal (every command accepted so far,
-    /// including the `edit` head).
-    pub fn journal(&self) -> &Journal {
-        &self.journal
+    fn deref(&self) -> &Library {
+        match self {
+            Menu::Borrowed(lib) => lib,
+            Menu::Owned(lib) => lib,
+        }
     }
+}
 
-    /// Undo-stack depth at suspension time.
-    pub fn undo_depth(&self) -> usize {
-        self.history.undo_len()
+impl DerefMut for Menu<'_> {
+    fn deref_mut(&mut self) -> &mut Library {
+        match self {
+            Menu::Borrowed(lib) => lib,
+            Menu::Owned(lib) => lib,
+        }
     }
+}
 
-    /// Pending-connection count at suspension time.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Engine counters at suspension time. [`Editor::suspend`] folds
-    /// the live cache tallies into these before capture, so the
-    /// numbers survive arbitrarily many suspend/resume cycles.
-    pub fn stats(&self) -> Stats {
-        self.stats
+impl Editor<'static> {
+    /// [`Editor::open`] on a library the session owns, for a host that
+    /// keeps the session between commands. Dropping the editor drops
+    /// the library.
+    ///
+    /// # Errors
+    ///
+    /// [`RiotError::NotComposition`] when `name` exists but is a leaf.
+    pub fn open_owned(lib: Library, name: &str) -> Result<Self, RiotError> {
+        Editor::edit(Menu::Owned(lib), name)
     }
 }
 
@@ -187,121 +171,52 @@ impl<'a> Editor<'a> {
     ///
     /// [`RiotError::NotComposition`] when `name` exists but is a leaf.
     pub fn open(lib: &'a mut Library, name: &str) -> Result<Self, RiotError> {
+        Editor::edit(Menu::Borrowed(lib), name)
+    }
+
+    /// Opens (or creates) the composition `name` in `lib` and journals
+    /// the `edit` head: the body of [`Editor::open`] and
+    /// [`Editor::open_owned`].
+    fn edit(mut lib: Menu<'a>, name: &str) -> Result<Self, RiotError> {
         // Honor `RIOT_TRACE=...` for any session, interactive or
         // replayed; cheap after the first call.
         riot_trace::init_from_env();
         let cell = match lib.find(name) {
-            Some(id) => {
-                if !lib.cell(id)?.is_composition() {
-                    return Err(RiotError::NotComposition(name.to_owned()));
-                }
-                id
-            }
+            Some(id) => id,
             None => lib.add_cell(Cell::new_composition(name))?,
         };
-        let instance_counter = lib
-            .cell(cell)?
-            .composition()
-            .map(|c| c.instances.len())
-            .unwrap_or(0);
-        let mut journal = Journal::new();
-        journal.record(Command::Edit {
+        let mut ed = Editor::at(lib, cell)?;
+        ed.instance_counter = ed.comp().instances.len();
+        ed.journal.record(Command::Edit {
             cell: name.to_owned(),
         });
+        Ok(ed)
+    }
+
+    /// A session on `cell` with no history: nothing journaled, nothing
+    /// pending, cold caches.
+    ///
+    /// # Errors
+    ///
+    /// [`RiotError::NotComposition`] (or an unknown-cell error) when
+    /// `cell` is not a composition of `lib`.
+    pub(crate) fn at(lib: Menu<'a>, cell: CellId) -> Result<Self, RiotError> {
+        let found = lib.cell(cell)?;
+        if !found.is_composition() {
+            return Err(RiotError::NotComposition(found.name.clone()));
+        }
         Ok(Editor {
             lib,
             cell,
             pending: Vec::new(),
             warnings: Vec::new(),
-            journal,
-            instance_counter,
+            journal: Journal::new(),
+            instance_counter: 0,
             history: History::default(),
-            events: Vec::new(),
             cache: DerivedCache::default(),
             damage: DamageJournal::default(),
             stats: Stats::default(),
             fault: None,
-            txn: None,
-        })
-    }
-
-    /// Suspends this session into a library-independent [`Checkpoint`]:
-    /// the pending connections, warnings, journal, undo/redo history,
-    /// engine statistics, and armed fault plan are moved out wholesale,
-    /// ready for a later [`Editor::resume`] against the *same* library.
-    ///
-    /// This is what lets a long-lived host (the `riot-serve` session
-    /// manager) keep many sessions alive without a self-referential
-    /// `Editor`/`Library` pair: the library is stored owned, and an
-    /// editor is materialized around it only while commands are being
-    /// applied.
-    ///
-    /// Derived-geometry caches and undrained change events are
-    /// discarded — both are rebuilt lazily after resume. The suspended
-    /// editor skips its [`Drop`] side effects (counter mirroring,
-    /// `RIOT_TRACE` dump): suspending is a pause, not a session end.
-    pub fn suspend(mut self) -> Checkpoint {
-        // Fold the live cache tallies into the durable stats before
-        // capture: the cache itself is discarded, but its hit/miss
-        // history must survive so per-session hit rates reported by
-        // long-lived hosts (riot-serve) stay cumulative.
-        self.stats.cache_hits += self.cache.hits();
-        self.stats.cache_misses += self.cache.misses();
-        let cp = Checkpoint {
-            cell: self.cell,
-            pending: std::mem::take(&mut self.pending),
-            warnings: std::mem::take(&mut self.warnings),
-            journal: std::mem::take(&mut self.journal),
-            instance_counter: self.instance_counter,
-            history: std::mem::take(&mut self.history),
-            stats: self.stats,
-            fault: self.fault.take(),
-        };
-        // Drop the owned leftovers explicitly, then forget `self` so
-        // the Drop impl (trace dump) does not fire mid-session. Every
-        // remaining field is an empty default or a plain reference, so
-        // nothing leaks.
-        drop(std::mem::take(&mut self.events));
-        drop(std::mem::take(&mut self.cache));
-        drop(std::mem::take(&mut self.damage));
-        std::mem::forget(self);
-        cp
-    }
-
-    /// Resumes a session previously captured by [`Editor::suspend`].
-    ///
-    /// `lib` must be the library the checkpoint was suspended from (or
-    /// an equivalent clone): the checkpoint addresses cells and
-    /// instances by the ids it recorded.
-    ///
-    /// # Errors
-    ///
-    /// [`RiotError::NotComposition`] (or an unknown-cell error) when
-    /// the checkpoint's edited cell is no longer a composition in
-    /// `lib`.
-    pub fn resume(lib: &'a mut Library, cp: Checkpoint) -> Result<Self, RiotError> {
-        if !lib.cell(cp.cell)?.is_composition() {
-            return Err(RiotError::NotComposition(lib.cell(cp.cell)?.name.clone()));
-        }
-        Ok(Editor {
-            lib,
-            cell: cp.cell,
-            pending: cp.pending,
-            warnings: cp.warnings,
-            journal: cp.journal,
-            instance_counter: cp.instance_counter,
-            history: cp.history,
-            events: Vec::new(),
-            cache: DerivedCache::default(),
-            // A resumed session has no acknowledged baseline; consumers
-            // holding pre-suspend derived state must do a full pass.
-            damage: {
-                let mut j = DamageJournal::default();
-                j.record_full();
-                j
-            },
-            stats: cp.stats,
-            fault: cp.fault,
             txn: None,
         })
     }
@@ -479,7 +394,7 @@ impl<'a> Editor<'a> {
     /// created slot plus [`ChangeEvent::PendingChanged`] when the list
     /// differs. When the menu shrinks or the cell header changes, the
     /// per-slot events cannot describe the change (the menu's own
-    /// `CellAdded` events are already queued) and one
+    /// `CellAdded` events were already emitted) and one
     /// [`ChangeEvent::BulkRestore`] replaces them. Infallible by
     /// construction: the LIFO undo stack guarantees the session looks
     /// exactly as it did right after the record's command applied.
@@ -560,7 +475,7 @@ impl<'a> Editor<'a> {
     }
 
     /// Announces a change: bumps counters, invalidates the affected
-    /// caches, and queues the event for [`Editor::drain_events`].
+    /// caches, and records the damage for [`Editor::take_damage`].
     pub(crate) fn emit(&mut self, event: ChangeEvent) {
         self.stats.events += 1;
         mark("core.events");
@@ -571,67 +486,13 @@ impl<'a> Editor<'a> {
             self.stats.damage_rects += 1;
             mark("damage.rects");
         }
-        if self.events.len() >= MAX_QUEUED_EVENTS {
-            let drop = self.events.len() / 2;
-            self.events.drain(..drop);
-        }
-        self.events.push(event);
-    }
-
-    /// Takes every change event queued since the last drain, with
-    /// duplicate per-instance change events coalesced: a command that
-    /// moves one instance several times yields a single
-    /// [`ChangeEvent::InstanceChanged`] spanning the first `old` box
-    /// and the last `new` box, so a UI redraws once instead of N
-    /// times. Coalescing never crosses a create/delete of the same
-    /// slot (the intervening event changes what the id denotes).
-    pub fn drain_events(&mut self) -> Vec<ChangeEvent> {
-        let events = std::mem::take(&mut self.events);
-        let mut out: Vec<ChangeEvent> = Vec::with_capacity(events.len());
-        let mut changed_at: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        let mut coalesced = 0u64;
-        for ev in events {
-            match ev {
-                ChangeEvent::InstanceChanged { id, new, .. } => {
-                    if let Some(&slot) = changed_at.get(&id.0) {
-                        if let ChangeEvent::InstanceChanged {
-                            new: merged_new, ..
-                        } = &mut out[slot]
-                        {
-                            *merged_new = new;
-                            coalesced += 1;
-                            continue;
-                        }
-                    }
-                    changed_at.insert(id.0, out.len());
-                    out.push(ev);
-                }
-                _ => {
-                    if let Some(id) = ev.instance_id() {
-                        changed_at.remove(&id.0);
-                    }
-                    out.push(ev);
-                }
-            }
-        }
-        if coalesced > 0 {
-            self.stats.damage_coalesced += coalesced;
-            if riot_trace::enabled() {
-                riot_trace::registry()
-                    .counter("damage.coalesced")
-                    .add(coalesced);
-            }
-        }
-        out
     }
 
     /// Acknowledges the world-space damage accumulated since the last
-    /// call (or since the session was opened/resumed). The returned
+    /// call (or since the session was opened or decoded). The returned
     /// [`Damage`] covers every world coordinate that changed in that
     /// span — the contract incremental DRC, flatten and render rely
-    /// on. Resumed sessions start with `full` damage: the consumer's
-    /// pre-suspend derived state has no valid baseline.
+    /// on.
     pub fn take_damage(&mut self) -> Damage {
         self.damage.take()
     }
@@ -643,8 +504,8 @@ impl<'a> Editor<'a> {
     }
 
     /// Engine counters: commands applied, undos, rollbacks, cache
-    /// behavior. Cache tallies are the checkpointed totals (folded in
-    /// by [`Editor::suspend`]) plus the live cache's counts.
+    /// behavior. Cache tallies are those a decoded session was saved
+    /// with plus the live cache's counts.
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
         s.cache_hits += self.cache.hits();
@@ -678,7 +539,7 @@ impl<'a> Editor<'a> {
 
     /// The library (cell menu) behind this session.
     pub fn library(&self) -> &Library {
-        self.lib
+        &self.lib
     }
 
     /// The journal of commands issued so far.
@@ -942,8 +803,14 @@ impl Drop for Editor<'_> {
     /// metrics registry (when tracing is enabled) and honors the
     /// `RIOT_TRACE` environment sink, so
     /// `RIOT_TRACE=chrome:/tmp/t.json cargo run --example quickstart`
-    /// produces a trace with no code changes.
+    /// produces a trace with no code changes. An editor that owns its
+    /// library is a hosted session: dropping it closes, evicts or
+    /// crashes one session of many, so it does neither, and the host
+    /// dumps once when it exits.
     fn drop(&mut self) {
+        if let Menu::Owned(_) = self.lib {
+            return;
+        }
         if riot_trace::enabled() {
             let s = self.stats();
             let reg = riot_trace::registry();

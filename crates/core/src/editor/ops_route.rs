@@ -58,10 +58,10 @@ impl Editor<'_> {
             }
         }
         let bystanders: Vec<Rect> = self
+            .comp()
             .instances()
-            .iter()
             .filter(|(id, _)| !exclude.contains(id))
-            .filter_map(|(id, _)| self.world_bbox_now(*id))
+            .filter_map(|(id, _)| self.world_bbox_now(id))
             .collect();
         let obstacles = routeplan::channel_obstacles(plan.to_side, plan.edge, &bystanders);
 

@@ -508,15 +508,14 @@ fn events_report_changes() {
     let (mut lib, gate, _) = setup();
     let mut ed = Editor::open(&mut lib, "TOP").unwrap();
     let i = ed.create_instance(gate).unwrap();
+    let created = ed.instance_bbox(i).unwrap();
+    assert_eq!(ed.stats().events, 1);
+    assert_eq!(ed.take_damage().rects, vec![created]);
     ed.translate_instance(i, Point::new(100, 0)).unwrap();
-    let events = ed.drain_events();
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, ChangeEvent::InstanceCreated { id, .. } if *id == i)));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, ChangeEvent::InstanceChanged { id, .. } if *id == i)));
-    assert!(ed.drain_events().is_empty());
+    let moved = ed.instance_bbox(i).unwrap();
+    assert_eq!(ed.stats().events, 2);
+    assert_eq!(ed.take_damage().rects, vec![created.union(moved)]);
+    assert!(ed.damage_is_clean());
 }
 
 #[test]
@@ -598,118 +597,6 @@ fn remove_and_clear_pending_are_undoable() {
 }
 
 // ----------------------------------------------------------------------
-// Suspend / resume (the riot-serve session-hosting primitive)
-// ----------------------------------------------------------------------
-
-#[test]
-fn suspend_resume_preserves_session_state() {
-    let (mut lib, gate, driver) = setup();
-    let cp = {
-        let mut ed = Editor::open(&mut lib, "TOP").unwrap();
-        let g = ed.create_instance(gate).unwrap();
-        let d = ed.create_instance(driver).unwrap();
-        ed.translate_instance(g, Point::new(30 * LAMBDA, 0))
-            .unwrap();
-        ed.connect(g, "A", d, "X").unwrap();
-        ed.undo().unwrap();
-        assert_eq!(ed.pending().len(), 0);
-        ed.redo().unwrap();
-        assert_eq!(ed.pending().len(), 1);
-        ed.suspend()
-    };
-    assert_eq!(cp.pending_len(), 1);
-    assert!(cp.undo_depth() >= 3);
-    let journal_len = cp.journal().commands().len();
-    assert!(journal_len >= 5, "journal carries the session history");
-
-    let mut ed = Editor::resume(&mut lib, cp).unwrap();
-    assert_eq!(ed.pending().len(), 1);
-    assert_eq!(ed.journal().commands().len(), journal_len);
-    // Undo still unwinds across the suspension boundary.
-    assert!(ed.undo().unwrap());
-    assert_eq!(ed.pending().len(), 0);
-    assert!(ed.redo().unwrap());
-    assert_eq!(ed.pending().len(), 1);
-    // And the session keeps editing normally.
-    let n_before = ed.instances().len();
-    ed.create_instance(gate).unwrap();
-    assert_eq!(ed.instances().len(), n_before + 1);
-}
-
-#[test]
-fn suspend_resume_round_trip_matches_uninterrupted_session() {
-    // Run the same command list straight through one editor, and
-    // through an editor that suspends/resumes between every command;
-    // the final observable state must be identical.
-    let list = vec![
-        Command::Create {
-            cell: "gate".into(),
-            instance: "G0".into(),
-        },
-        Command::Create {
-            cell: "driver".into(),
-            instance: "D0".into(),
-        },
-        Command::Translate {
-            instance: "D0".into(),
-            d: Point::new(-20 * LAMBDA, 0),
-        },
-        Command::Connect {
-            from: "G0".into(),
-            from_connector: "A".into(),
-            to: "D0".into(),
-            to_connector: "X".into(),
-        },
-        Command::Undo,
-        Command::Redo,
-    ];
-
-    let (mut lib_a, _gate_a, _driver_a) = setup();
-    let mut ed_a = Editor::open(&mut lib_a, "TOP").unwrap();
-    for c in &list {
-        ed_a.execute(c.clone()).unwrap();
-    }
-    let text_a = ed_a.journal().to_text();
-    let pending_a = ed_a.pending().len();
-    let undo_a = ed_a.undo_depth();
-
-    let (mut lib_b, _gate_b, _driver_b) = setup();
-    let mut cp = Editor::open(&mut lib_b, "TOP").unwrap().suspend();
-    for c in &list {
-        let mut ed = Editor::resume(&mut lib_b, cp).unwrap();
-        ed.execute(c.clone()).unwrap();
-        cp = ed.suspend();
-    }
-    let ed_b = Editor::resume(&mut lib_b, cp).unwrap();
-    assert_eq!(ed_b.journal().to_text(), text_a);
-    assert_eq!(ed_b.pending().len(), pending_a);
-    assert_eq!(ed_b.undo_depth(), undo_a);
-}
-
-#[test]
-fn suspend_carries_the_fault_plan() {
-    let (mut lib, gate, _driver) = setup();
-    let cp = {
-        let mut ed = Editor::open(&mut lib, "TOP").unwrap();
-        ed.set_fault_plan(FaultPlan::new(9, 1.0));
-        let err = ed.execute(Command::Create {
-            cell: "gate".into(),
-            instance: "G".into(),
-        });
-        assert!(matches!(err, Err(RiotError::FaultInjected(_))));
-        ed.suspend()
-    };
-    let mut ed = Editor::resume(&mut lib, cp).unwrap();
-    assert_eq!(ed.fault_plan().map(|p| p.injected()), Some(1));
-    let err = ed.execute(Command::Create {
-        cell: "gate".into(),
-        instance: "G".into(),
-    });
-    assert!(matches!(err, Err(RiotError::FaultInjected(_))));
-    let _ = gate;
-}
-
-// ----------------------------------------------------------------------
 // Damage regions
 // ----------------------------------------------------------------------
 
@@ -787,75 +674,72 @@ fn rollback_with_added_cells_falls_back_to_full() {
 }
 
 #[test]
-fn resume_starts_with_full_damage() {
-    let (mut lib, gate, _) = setup();
-    let cp = {
-        let mut ed = Editor::open(&mut lib, "TOP").unwrap();
-        ed.create_instance(gate).unwrap();
-        ed.suspend()
-    };
-    let mut ed = Editor::resume(&mut lib, cp).unwrap();
-    assert!(ed.take_damage().full);
-}
-
-#[test]
-fn drain_coalesces_duplicate_instance_changes() {
-    let (mut lib, gate, _) = setup();
-    let mut ed = Editor::open(&mut lib, "TOP").unwrap();
-    let i = ed.create_instance(gate).unwrap();
-    let first = ed.instance_bbox(i).unwrap();
-    ed.translate_instance(i, Point::new(100, 0)).unwrap();
-    ed.translate_instance(i, Point::new(100, 0)).unwrap();
-    ed.translate_instance(i, Point::new(100, 0)).unwrap();
-    let last = ed.instance_bbox(i).unwrap();
-    let events = ed.drain_events();
-    let changes: Vec<_> = events
-        .iter()
-        .filter_map(|e| match e {
-            ChangeEvent::InstanceChanged { id, old, new } if *id == i => Some((*old, *new)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(changes.len(), 1, "three moves coalesce to one: {events:?}");
-    assert_eq!(changes[0].0, Some(first));
-    assert_eq!(changes[0].1, Some(last));
-    assert_eq!(ed.stats().damage_coalesced, 2);
-}
-
-#[test]
-fn coalescing_does_not_cross_a_delete() {
-    let (mut lib, gate, _) = setup();
-    let mut ed = Editor::open(&mut lib, "TOP").unwrap();
-    let i = ed.create_instance(gate).unwrap();
-    ed.translate_instance(i, Point::new(100, 0)).unwrap();
-    ed.delete_instance(i).unwrap();
-    ed.undo().unwrap(); // restores the slot
-    ed.translate_instance(i, Point::new(100, 0)).unwrap();
-    let events = ed.drain_events();
-    let changes = events
-        .iter()
-        .filter(|e| matches!(e, ChangeEvent::InstanceChanged { id, .. } if *id == i))
-        .count();
-    assert_eq!(changes, 2, "delete/restore breaks coalescing: {events:?}");
-}
-
-#[test]
 fn checkpoint_preserves_cache_counters() {
-    let (mut lib, gate, _) = setup();
-    let cp = {
-        let mut ed = Editor::open(&mut lib, "TOP").unwrap();
-        let i = ed.create_instance(gate).unwrap();
-        let _ = ed.instance_bbox(i).unwrap(); // miss
-        let _ = ed.instance_bbox(i).unwrap(); // hit
-        ed.suspend()
-    };
-    let hits = cp.stats().cache_hits;
-    let misses = cp.stats().cache_misses;
-    assert!(hits >= 1 && misses >= 1);
-    let ed = Editor::resume(&mut lib, cp).unwrap();
-    let i = ed.find_instance("I0").unwrap();
-    let _ = ed.instance_bbox(i).unwrap(); // miss in the fresh cache
-    let s = ed.stats();
-    assert_eq!(s.cache_hits, hits);
-    assert!(s.cache_misses > misses, "resume folds, not resets");
+    // A snapshot is the one checkpoint of a session: the cache tallies
+    // it saves are where the decoded session's fresh cache counts on.
+    let (lib, gate, _) = setup();
+    let mut ed = Editor::open_owned(lib, "TOP").unwrap();
+    let i = ed.create_instance(gate).unwrap();
+    let _ = ed.instance_bbox(i).unwrap(); // miss
+    let _ = ed.instance_bbox(i).unwrap(); // hit
+    let saved = ed.stats();
+    assert!(saved.cache_hits >= 1 && saved.cache_misses >= 1);
+    let decoded = crate::decode_session(&crate::encode_session(&ed).unwrap()).unwrap();
+    assert_eq!(decoded.stats(), saved);
+    let i = decoded.find_instance("I0").unwrap();
+    let _ = decoded.instance_bbox(i).unwrap(); // miss in the fresh cache
+    let s = decoded.stats();
+    assert_eq!(s.cache_hits, saved.cache_hits);
+    assert_eq!(s.cache_misses, saved.cache_misses + 1, "adds, not resets");
+}
+
+#[test]
+fn suspend_resume_round_trip_matches_uninterrupted_session() {
+    // Run the same command list straight through one editor, and
+    // through a session that is suspended to its snapshot payload and
+    // resumed by decoding it between every command; the final
+    // observable state must be identical.
+    let list = vec![
+        Command::Create {
+            cell: "gate".into(),
+            instance: "G0".into(),
+        },
+        Command::Create {
+            cell: "driver".into(),
+            instance: "D0".into(),
+        },
+        Command::Translate {
+            instance: "D0".into(),
+            d: Point::new(-20 * LAMBDA, 0),
+        },
+        Command::Connect {
+            from: "G0".into(),
+            from_connector: "A".into(),
+            to: "D0".into(),
+            to_connector: "X".into(),
+        },
+        Command::Undo,
+        Command::Redo,
+    ];
+
+    let (mut lib_a, _gate_a, _driver_a) = setup();
+    let mut ed_a = Editor::open(&mut lib_a, "TOP").unwrap();
+    for c in &list {
+        ed_a.execute(c.clone()).unwrap();
+    }
+    let text_a = ed_a.journal().to_text();
+    let pending_a = ed_a.pending().len();
+    let undo_a = ed_a.undo_depth();
+
+    let round_trip =
+        |ed: &Editor<'_>| crate::decode_session(&crate::encode_session(ed).unwrap()).unwrap();
+    let (lib_b, _gate_b, _driver_b) = setup();
+    let mut ed_b = round_trip(&Editor::open_owned(lib_b, "TOP").unwrap());
+    for c in &list {
+        ed_b.execute(c.clone()).unwrap();
+        ed_b = round_trip(&ed_b);
+    }
+    assert_eq!(ed_b.journal().to_text(), text_a);
+    assert_eq!(ed_b.pending().len(), pending_a);
+    assert_eq!(ed_b.undo_depth(), undo_a);
 }

@@ -1,12 +1,12 @@
 //! The change-event bus: every mutation the command engine performs is
 //! announced as a [`ChangeEvent`].
 //!
-//! Events serve two consumers. Inside the editor they drive incremental
-//! invalidation of the derived-geometry caches (world bounding boxes,
-//! world connector lists, the composition extent) so those expensive
-//! values are recomputed only when something they depend on changed.
-//! Outside the editor, a UI can drain the queue with
-//! [`crate::Editor::drain_events`] and redraw only what moved.
+//! Events stay inside the editor. They drive incremental invalidation
+//! of the derived-geometry caches (world bounding boxes, world
+//! connector lists, the composition extent) so those expensive values
+//! are recomputed only when something they depend on changed, and they
+//! feed the damage that [`crate::Editor::take_damage`] hands to
+//! consumers outside, which then recompute only what moved.
 //!
 //! Instance events carry the **world-space damage** they imply: the
 //! old and/or new world bounding box of the instance they touch. The
@@ -27,7 +27,7 @@ use riot_geom::Rect;
 
 /// One observable change to the editing session's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChangeEvent {
+pub(crate) enum ChangeEvent {
     /// A new instance slot was appended to the composition.
     InstanceCreated {
         /// The new slot.
@@ -63,22 +63,12 @@ pub enum ChangeEvent {
 }
 
 impl ChangeEvent {
-    /// The instance slot this event touches, if any.
-    pub fn instance_id(&self) -> Option<InstanceId> {
-        match self {
-            ChangeEvent::InstanceCreated { id, .. }
-            | ChangeEvent::InstanceChanged { id, .. }
-            | ChangeEvent::InstanceDeleted { id, .. } => Some(*id),
-            _ => None,
-        }
-    }
-
     /// The world-space region this event dirties: the union of the
     /// old and new boxes it carries. `None` for events that carry no
     /// geometry (pending-list or menu changes) — but note that
     /// [`ChangeEvent::invalidates_everything`] events also return
     /// `None` here and must be checked first.
-    pub fn dirty_rect(&self) -> Option<Rect> {
+    pub(crate) fn dirty_rect(&self) -> Option<Rect> {
         match self {
             ChangeEvent::InstanceCreated { at: r, .. }
             | ChangeEvent::InstanceDeleted { old: r, .. } => *r,
@@ -95,7 +85,7 @@ impl ChangeEvent {
     /// either by design ([`ChangeEvent::CellFinished`],
     /// [`ChangeEvent::BulkRestore`]) or because an instance event
     /// could not determine the world box it dirtied.
-    pub fn invalidates_everything(&self) -> bool {
+    pub(crate) fn invalidates_everything(&self) -> bool {
         match self {
             ChangeEvent::CellFinished | ChangeEvent::BulkRestore => true,
             ChangeEvent::InstanceCreated { at, .. } => at.is_none(),
@@ -162,9 +152,6 @@ pub struct Stats {
     pub apply_nanos: u64,
     /// Dirty rects acknowledged through [`crate::Editor::take_damage`].
     pub damage_rects: u64,
-    /// Duplicate per-instance change events merged away by
-    /// [`crate::Editor::drain_events`] coalescing.
-    pub damage_coalesced: u64,
 }
 
 impl Stats {

@@ -34,8 +34,7 @@ use riot_geom::Rect;
 #[derive(Debug, Clone)]
 pub(crate) struct UndoRecord {
     /// The menu before the command. Fields are crate-visible so
-    /// `crate::persist` can serialize undo records for suspended
-    /// sessions.
+    /// `crate::persist` can serialize undo records.
     pub(crate) menu: LibraryCheckpoint,
     /// Instance slots before the command; later slots are its own.
     pub(crate) slots: usize,
@@ -103,7 +102,7 @@ pub(crate) struct Applied {
 #[derive(Debug, Default)]
 pub(crate) struct History {
     /// Applied commands with their inverses, oldest first. Crate-visible
-    /// so `crate::persist` can serialize a suspended session wholesale.
+    /// so `crate::persist` can serialize a session wholesale.
     pub(crate) undo: Vec<Applied>,
     /// Undone commands awaiting redo, oldest first.
     pub(crate) redo: Vec<Command>,

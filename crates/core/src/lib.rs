@@ -66,9 +66,9 @@ pub mod routeplan;
 pub use cell::{Cell, CellId, CellKind, Connector, LeafSource};
 pub use command::{Command, Outcome};
 pub use connection::{PendingConnection, WorldConnector};
-pub use editor::{AbutOptions, Checkpoint, Editor, RouteOptions, StretchOptions};
+pub use editor::{AbutOptions, Editor, RouteOptions, StretchOptions};
 pub use error::RiotError;
-pub use events::{ChangeEvent, Damage, Stats};
+pub use events::{Damage, Stats};
 pub use fault::{
     FaultPlan, FAULT_ROUTE_GRID_SOLVE, FAULT_ROUTE_SOLVE, FAULT_SERVE_ACCEPT,
     FAULT_SERVE_CONN_BACKLOG, FAULT_SERVE_FRAME_DECODE, FAULT_SERVE_GROUP_FLUSH,

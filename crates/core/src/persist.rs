@@ -1,9 +1,9 @@
-//! Binary serialization of a suspended session (`Library` +
-//! [`Checkpoint`]) for snapshot-based recovery.
+//! Binary serialization of an editing session (an [`Editor`] and its
+//! library) for snapshot-based recovery.
 //!
 //! `riot-serve` recovers a session by replaying its WAL through the
 //! engine — correct, but O(history): a 100k-command session replays
-//! 100k commands on every reopen. This module serializes the suspended
+//! 100k commands on every reopen. This module serializes the session
 //! state itself, so recovery becomes *decode + WAL-tail replay*:
 //! decoding is a linear scan over bytes, orders of magnitude cheaper
 //! than re-executing commands through the transactional engine, and the
@@ -13,8 +13,11 @@
 //!
 //! A hand-rolled little-endian binary codec (this crate takes no
 //! serialization dependency): one leading version byte, then the
-//! library (cells verbatim, including leaf geometry) and the checkpoint
-//! (pending list, warnings, journal, undo/redo stacks, stats).
+//! library (cells verbatim, including leaf geometry) and the session
+//! (edited cell, pending list, warnings, journal, undo/redo stacks,
+//! stats). Derived state — the geometry caches and the damage not yet
+//! taken — is never stored: a decoded editor starts with cold caches
+//! and clean damage, like a freshly opened one.
 //! Commands — in the journal, the undo stack and the redo stack — are
 //! stored as their `command_to_line` text, the same canonical form the
 //! WAL uses, so the snapshot's command encoding is proven by the same
@@ -29,24 +32,25 @@
 //!
 //! An armed [`FaultPlan`](crate::FaultPlan) holds `&'static str` site
 //! tallies that cannot round-trip through bytes;
-//! [`encode_session`] refuses such checkpoints ([`PersistError::
+//! [`encode_session`] refuses such sessions ([`PersistError::
 //! FaultPlanArmed`]) rather than silently disarming the harness.
 //! `riot-serve` never arms editor-level plans, so served sessions
 //! always snapshot.
 
 use crate::cell::{Cell, CellId, CellKind, Composition, Connector, LeafSource};
 use crate::connection::PendingConnection;
-use crate::editor::Checkpoint;
+use crate::editor::{Editor, Menu};
 use crate::history::{Applied, History, UndoRecord};
 use crate::instance::{Instance, InstanceId};
 use crate::library::{Library, LibraryCheckpoint};
-use crate::replay::{command_to_line, parse_command_line, Journal};
+use crate::replay::{command_to_line, parse_command_line};
 use riot_geom::{Layer, Orientation, Path, Point, Rect, Side, Transform};
 use std::fmt;
 
-/// Format version written as the first payload byte. Version 2 holds
-/// one undo record per command; version 1 payloads are refused.
-const VERSION: u8 = 2;
+/// Format version written as the first payload byte. Version 2 held
+/// one undo record per command; version 3 drops the coalesced-event
+/// counter from the stats. Older payloads are refused.
+const VERSION: u8 = 3;
 
 /// Why encoding or decoding a session failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +81,12 @@ pub enum PersistError {
         /// The path validation error, rendered.
         String,
     ),
-    /// The checkpoint carries an armed fault plan, which cannot be
+    /// The stored edit cell is not a composition of the stored library.
+    BadEditCell(
+        /// The editor's refusal, rendered.
+        String,
+    ),
+    /// The session carries an armed fault plan, which cannot be
     /// serialized (its per-site tallies key on `&'static str`).
     FaultPlanArmed,
 }
@@ -91,6 +100,7 @@ impl fmt::Display for PersistError {
             PersistError::BadUtf8 => write!(f, "string is not valid UTF-8"),
             PersistError::BadCommand(e) => write!(f, "stored command does not parse: {e}"),
             PersistError::BadPath(e) => write!(f, "stored path is invalid: {e}"),
+            PersistError::BadEditCell(e) => write!(f, "stored edit cell is unusable: {e}"),
             PersistError::FaultPlanArmed => {
                 write!(f, "cannot serialize a session with an armed fault plan")
             }
@@ -104,16 +114,17 @@ impl std::error::Error for PersistError {}
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Serializes a suspended session to bytes.
+/// Serializes an editing session, library included, to bytes.
 ///
 /// # Errors
 ///
-/// [`PersistError::FaultPlanArmed`] when the checkpoint carries a fault
+/// [`PersistError::FaultPlanArmed`] when the session carries a fault
 /// plan (see the module docs); encoding is otherwise infallible.
-pub fn encode_session(lib: &Library, cp: &Checkpoint) -> Result<Vec<u8>, PersistError> {
-    if cp.fault.is_some() {
+pub fn encode_session(ed: &Editor<'_>) -> Result<Vec<u8>, PersistError> {
+    if ed.fault.is_some() {
         return Err(PersistError::FaultPlanArmed);
     }
+    let lib = ed.library();
     let mut out = Vec::with_capacity(4096);
     out.push(VERSION);
     put_u64(&mut out, lib.route_counter as u64);
@@ -121,35 +132,37 @@ pub fn encode_session(lib: &Library, cp: &Checkpoint) -> Result<Vec<u8>, Persist
     for cell in &lib.cells {
         put_cell(&mut out, cell);
     }
-    put_u64(&mut out, cp.cell.index() as u64);
-    put_conns(&mut out, &cp.pending);
-    put_u32(&mut out, cp.warnings.len() as u32);
-    for w in &cp.warnings {
+    put_u64(&mut out, ed.cell.index() as u64);
+    put_conns(&mut out, &ed.pending);
+    put_u32(&mut out, ed.warnings.len() as u32);
+    for w in &ed.warnings {
         put_str(&mut out, w);
     }
-    let cmds = cp.journal.commands();
+    let cmds = ed.journal.commands();
     put_u32(&mut out, cmds.len() as u32);
     for cmd in cmds {
         put_str(&mut out, &command_to_line(cmd));
     }
-    put_u64(&mut out, cp.instance_counter as u64);
-    put_u32(&mut out, cp.history.undo.len() as u32);
-    for applied in &cp.history.undo {
+    put_u64(&mut out, ed.instance_counter as u64);
+    put_u32(&mut out, ed.history.undo.len() as u32);
+    for applied in &ed.history.undo {
         put_str(&mut out, &command_to_line(&applied.command));
         put_undo(&mut out, &applied.undo);
     }
-    put_u32(&mut out, cp.history.redo.len() as u32);
-    for cmd in &cp.history.redo {
+    put_u32(&mut out, ed.history.redo.len() as u32);
+    for cmd in &ed.history.redo {
         put_str(&mut out, &command_to_line(cmd));
     }
-    for v in stats_fields(&cp.stats) {
+    // With the live cache's tallies, which a decoded session's fresh
+    // cache then adds to.
+    for v in stats_fields(&ed.stats()) {
         put_u64(&mut out, v);
     }
     Ok(out)
 }
 
-/// The ten stats counters in a fixed serialization order.
-fn stats_fields(s: &crate::Stats) -> [u64; 10] {
+/// The nine stats counters in a fixed serialization order.
+fn stats_fields(s: &crate::Stats) -> [u64; 9] {
     [
         s.applied,
         s.undos,
@@ -160,7 +173,6 @@ fn stats_fields(s: &crate::Stats) -> [u64; 10] {
         s.cache_misses,
         s.apply_nanos,
         s.damage_rects,
-        s.damage_coalesced,
     ]
 }
 
@@ -363,10 +375,8 @@ fn put_undo(out: &mut Vec<u8>, undo: &UndoRecord) {
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Rebuilds a session from [`encode_session`] bytes.
-///
-/// The result is resume-ready: hand the pair to
-/// [`Editor::resume`](crate::Editor::resume).
+/// Rebuilds a session from [`encode_session`] bytes: an editor that
+/// owns the decoded library, ready to execute the next command.
 ///
 /// # Errors
 ///
@@ -374,7 +384,7 @@ fn put_undo(out: &mut Vec<u8>, undo: &UndoRecord) {
 /// never panics on malformed input — every read is bounds-checked and
 /// every tag validated — though callers are expected to have verified
 /// an integrity checksum first.
-pub fn decode_session(bytes: &[u8]) -> Result<(Library, Checkpoint), PersistError> {
+pub fn decode_session(bytes: &[u8]) -> Result<Editor<'static>, PersistError> {
     let mut cur = Cur { b: bytes, pos: 0 };
     let version = cur.u8()?;
     if version != VERSION {
@@ -391,18 +401,19 @@ pub fn decode_session(bytes: &[u8]) -> Result<(Library, Checkpoint), PersistErro
         route_counter,
     };
     let cell = CellId(cur.u64()? as usize);
-    let pending = get_conns(&mut cur)?;
+    let mut ed =
+        Editor::at(Menu::Owned(lib), cell).map_err(|e| PersistError::BadEditCell(e.to_string()))?;
+    ed.pending = get_conns(&mut cur)?;
     let n_warn = cur.u32()? as usize;
-    let mut warnings = Vec::with_capacity(n_warn.min(cur.remaining()));
+    ed.warnings = Vec::with_capacity(n_warn.min(cur.remaining()));
     for _ in 0..n_warn {
-        warnings.push(cur.string()?);
+        ed.warnings.push(cur.string()?);
     }
     let n_journal = cur.u32()? as usize;
-    let mut journal = Journal::new();
     for _ in 0..n_journal {
-        journal.record(get_command(&mut cur)?);
+        ed.journal.record(get_command(&mut cur)?);
     }
-    let instance_counter = cur.u64()? as usize;
+    ed.instance_counter = cur.u64()? as usize;
     let n_undo = cur.u32()? as usize;
     let mut undo = Vec::with_capacity(n_undo.min(cur.remaining()));
     for _ in 0..n_undo {
@@ -418,33 +429,23 @@ pub fn decode_session(bytes: &[u8]) -> Result<(Library, Checkpoint), PersistErro
     for _ in 0..n_redo {
         redo.push(get_command(&mut cur)?);
     }
-    let mut stats = crate::Stats::default();
-    let fields: [&mut u64; 10] = [
-        &mut stats.applied,
-        &mut stats.undos,
-        &mut stats.redos,
-        &mut stats.rollbacks,
-        &mut stats.events,
-        &mut stats.cache_hits,
-        &mut stats.cache_misses,
-        &mut stats.apply_nanos,
-        &mut stats.damage_rects,
-        &mut stats.damage_coalesced,
+    ed.history = History { undo, redo };
+    let s = &mut ed.stats;
+    let fields: [&mut u64; 9] = [
+        &mut s.applied,
+        &mut s.undos,
+        &mut s.redos,
+        &mut s.rollbacks,
+        &mut s.events,
+        &mut s.cache_hits,
+        &mut s.cache_misses,
+        &mut s.apply_nanos,
+        &mut s.damage_rects,
     ];
     for slot in fields {
         *slot = cur.u64()?;
     }
-    let cp = Checkpoint {
-        cell,
-        pending,
-        warnings,
-        journal,
-        instance_counter,
-        history: History { undo, redo },
-        stats,
-        fault: None,
-    };
-    Ok((lib, cp))
+    Ok(ed)
 }
 
 /// Bounds-checked little-endian reader over the payload.
@@ -730,7 +731,6 @@ fn get_undo(cur: &mut Cur<'_>) -> Result<UndoRecord, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Editor;
 
     const INV: &str = "sticks inv\nbbox 0 0 10 12\npin IN left NP 0 6\npin OUT right NP 10 6\nwire NP 2 0 6 10 6\nend\n";
 
@@ -742,44 +742,46 @@ L NM; B 1000 1000 500 500;
 DF;
 E";
 
-    fn scripted_session(lines: &[&str]) -> (Library, Checkpoint) {
+    fn scripted_session(lines: &[&str]) -> Editor<'static> {
         let mut lib = Library::new();
         lib.load_sticks(INV).unwrap();
         lib.load_cif(CIF).unwrap();
-        let mut ed = Editor::open(&mut lib, "TOP").unwrap();
+        let mut ed = Editor::open_owned(lib, "TOP").unwrap();
         for line in lines {
             let cmd = parse_command_line(line, 0).unwrap();
             ed.execute(cmd).unwrap();
         }
-        let cp = ed.suspend();
-        (lib, cp)
+        ed
     }
 
     /// Canonical bytes: encode(decode(encode(x))) == encode(x), and the
-    /// decoded session resumes with identical observables.
-    fn assert_round_trip(lib: &Library, cp: &Checkpoint) {
-        let bytes = encode_session(lib, cp).unwrap();
-        let (mut lib2, cp2) = decode_session(&bytes).unwrap();
-        assert_eq!(lib, &lib2, "library survives the byte round-trip");
-        let bytes2 = encode_session(&lib2, &cp2).unwrap();
+    /// decoded session has identical observables.
+    fn assert_round_trip(ed: &Editor<'_>) {
+        let bytes = encode_session(ed).unwrap();
+        let ed2 = decode_session(&bytes).unwrap();
+        assert_eq!(
+            ed.library(),
+            ed2.library(),
+            "library survives the byte round-trip"
+        );
+        let bytes2 = encode_session(&ed2).unwrap();
         assert_eq!(bytes, bytes2, "encoding is canonical");
-        // And the decoded checkpoint actually resumes.
-        let undo_before = cp.undo_depth();
-        let journal_before = cp.journal().commands().len();
-        let ed = Editor::resume(&mut lib2, cp2).unwrap();
-        assert_eq!(ed.undo_depth(), undo_before);
-        assert_eq!(ed.journal().commands().len(), journal_before);
+        assert_eq!(ed2.cell_id(), ed.cell_id());
+        assert_eq!(ed2.pending(), ed.pending());
+        assert_eq!(ed2.undo_depth(), ed.undo_depth());
+        assert_eq!(ed2.redo_depth(), ed.redo_depth());
+        assert_eq!(ed2.journal(), ed.journal());
+        assert_eq!(ed2.stats(), ed.stats());
     }
 
     #[test]
     fn empty_session_round_trips() {
-        let (lib, cp) = scripted_session(&[]);
-        assert_round_trip(&lib, &cp);
+        assert_round_trip(&scripted_session(&[]));
     }
 
     #[test]
     fn simple_edits_round_trip() {
-        let (lib, cp) = scripted_session(&[
+        let ed = scripted_session(&[
             "create inv A",
             "create inv B",
             "translate B 5000 0",
@@ -787,7 +789,7 @@ E";
             "orient B R90",
             "replicate B 2 3",
         ]);
-        assert_round_trip(&lib, &cp);
+        assert_round_trip(&ed);
     }
 
     #[test]
@@ -797,7 +799,7 @@ E";
         // checkpoint that later cells pass (route, stretch) and a cell
         // header (finish, undone and redone). The last undo leaves both
         // history stacks populated.
-        let (lib, cp) = scripted_session(&[
+        let ed = scripted_session(&[
             "create inv A",
             "create inv B",
             "translate B 5000 0",
@@ -818,32 +820,31 @@ E";
             "create inv E",
             "undo",
         ]);
-        let kept = &cp.history.undo;
+        let kept = &ed.history.undo;
         assert!(kept.iter().any(|a| !a.undo.prior.is_empty()));
         assert!(kept.iter().any(|a| a.undo.pending.is_some()));
-        assert!(kept.iter().any(|a| a.undo.menu.cells_len < lib.len()));
+        assert!(kept
+            .iter()
+            .any(|a| a.undo.menu.cells_len < ed.library().len()));
         assert!(kept.iter().any(|a| a.undo.header.is_some()));
-        assert_eq!(cp.history.redo.len(), 1);
-        assert_round_trip(&lib, &cp);
+        assert_eq!(ed.history.redo.len(), 1);
+        assert_round_trip(&ed);
     }
 
     #[test]
     fn armed_fault_plan_is_refused() {
-        let mut lib = Library::new();
-        lib.load_sticks(INV).unwrap();
-        let mut ed = Editor::open(&mut lib, "TOP").unwrap();
+        let mut ed = scripted_session(&[]);
         ed.set_fault_plan(crate::FaultPlan::disabled());
-        let cp = ed.suspend();
         assert_eq!(
-            encode_session(&lib, &cp).unwrap_err(),
+            encode_session(&ed).unwrap_err(),
             PersistError::FaultPlanArmed
         );
     }
 
     #[test]
     fn truncation_errors_cleanly_at_every_length() {
-        let (lib, cp) = scripted_session(&["create inv A", "create inv B", "connect B IN A OUT"]);
-        let bytes = encode_session(&lib, &cp).unwrap();
+        let ed = scripted_session(&["create inv A", "create inv B", "connect B IN A OUT"]);
+        let bytes = encode_session(&ed).unwrap();
         for len in 0..bytes.len() {
             match decode_session(&bytes[..len]) {
                 Err(_) => {}
@@ -854,8 +855,7 @@ E";
 
     #[test]
     fn version_1_payloads_are_refused() {
-        let (lib, cp) = scripted_session(&["create inv A"]);
-        let mut bytes = encode_session(&lib, &cp).unwrap();
+        let mut bytes = encode_session(&scripted_session(&["create inv A"])).unwrap();
         bytes[0] = 1;
         assert_eq!(
             decode_session(&bytes).unwrap_err(),
@@ -864,13 +864,41 @@ E";
     }
 
     #[test]
-    fn bad_version_is_reported() {
-        let (lib, cp) = scripted_session(&[]);
-        let mut bytes = encode_session(&lib, &cp).unwrap();
-        bytes[0] = 99;
-        assert_eq!(
+    fn an_edit_cell_that_is_not_a_composition_is_refused() {
+        let ed = scripted_session(&[]);
+        let mut bytes = encode_session(&ed).unwrap();
+        // The edit cell id follows the route counter and the library.
+        let mut lib_only = Vec::new();
+        put_u64(&mut lib_only, ed.library().route_counter as u64);
+        put_u32(&mut lib_only, ed.library().cells.len() as u32);
+        for cell in &ed.library().cells {
+            put_cell(&mut lib_only, cell);
+        }
+        let at = 1 + lib_only.len();
+        let leaf = ed.library().find("inv").unwrap().index() as u64;
+        bytes[at..at + 8].copy_from_slice(&leaf.to_le_bytes());
+        assert!(matches!(
             decode_session(&bytes).unwrap_err(),
-            PersistError::BadVersion(99)
-        );
+            PersistError::BadEditCell(_)
+        ));
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_session(&bytes).unwrap_err(),
+            PersistError::BadEditCell(_)
+        ));
+    }
+
+    #[test]
+    fn bad_version_is_reported() {
+        // Version 2 payloads, the last format before this one, are
+        // refused like any unknown version.
+        let mut bytes = encode_session(&scripted_session(&[])).unwrap();
+        for version in [2, 99] {
+            bytes[0] = version;
+            assert_eq!(
+                decode_session(&bytes).unwrap_err(),
+                PersistError::BadVersion(version)
+            );
+        }
     }
 }

@@ -74,7 +74,7 @@ pub struct ServeConfig {
     /// Worker scheduling tick: how long a worker sleeps waiting for
     /// jobs before running housekeeping (idle eviction).
     pub tick: Duration,
-    /// Sessions untouched for this long are suspended to their WAL and
+    /// Sessions untouched for this long are flushed to their WAL and
     /// dropped from memory; a later `cmd` transparently reopens them.
     pub idle_timeout: Duration,
     /// Cut a `RIOTSNAP1` snapshot (and compact the WAL behind it) every

@@ -19,9 +19,10 @@
 //! # Batching and the flush pass
 //!
 //! A worker drains up to `batch_max` queued jobs at a time and applies
-//! *consecutive runs* of commands for the same session under one
-//! resumed editor. Each run **stages** its WAL records in memory and
-//! joins the batch's commit queue. One flush pass — one write and one
+//! *consecutive runs* of commands for the same session to its editor,
+//! which lives as long as the session is hosted, caches and all. Each
+//! run **stages** its WAL records in memory and joins the batch's
+//! commit queue. One flush pass — one write and one
 //! fsync per dirty WAL — runs at the end of the drained batch, and
 //! before any non-`cmd` job in it, then releases every staged run's
 //! replies in order. The inbox decides when to flush, not a timer: a
@@ -48,7 +49,7 @@ use crate::config::ServeConfig;
 use crate::flightrec::FlightKind;
 use crate::proto::{Reply, ReplyBody};
 use crate::session::{execute_line, OpenKind, SessionEntry};
-use riot_core::{Editor, FAULT_SERVE_GROUP_FLUSH, FAULT_SERVE_JOURNAL_APPEND};
+use riot_core::{FAULT_SERVE_GROUP_FLUSH, FAULT_SERVE_JOURNAL_APPEND};
 use riot_trace::TraceContext;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -76,8 +77,8 @@ pub enum JobKind {
     /// Flush and evict the session.
     Close,
     /// Report the session's engine counters (cache hit rate, damage
-    /// stats). Routed to the owning worker so it reads the same
-    /// suspended checkpoint the next `Cmd` would resume.
+    /// stats). Routed to the owning worker so it reads the same editor
+    /// the next `Cmd` applies to.
     SessionStats,
     /// Testing hook: hold the worker for `ms` milliseconds.
     Stall {
@@ -417,8 +418,8 @@ fn publish_live(shared: &Shared, mine: &HashMap<String, SessionEntry>) {
 }
 
 /// Applies one drained batch in arrival order, merging consecutive
-/// `Cmd` runs for the same session under a single resume, and ends
-/// with the flush pass that makes every staged run durable.
+/// `Cmd` runs for the same session into one staged run, and ends with
+/// the flush pass that makes every staged run durable.
 fn process_batch(
     cfg: &ServeConfig,
     sessions: &mut HashMap<String, SessionEntry>,
@@ -472,8 +473,8 @@ fn session_stats_line(s: riot_core::Stats) -> String {
         .cache_hit_rate()
         .map_or("n/a".to_owned(), |r| format!("{r:.3}"));
     format!(
-        "applied {} cache_hits {} cache_misses {} hit_rate {rate} damage_rects {} damage_coalesced {}",
-        s.applied, s.cache_hits, s.cache_misses, s.damage_rects, s.damage_coalesced
+        "applied {} cache_hits {} cache_misses {} hit_rate {rate} damage_rects {}",
+        s.applied, s.cache_hits, s.cache_misses, s.damage_rects
     )
 }
 
@@ -521,14 +522,11 @@ fn ensure_open(
     // (`edit <cell>`), so a dump's per-session tail is itself a valid
     // replay for riot-check's lockstep harness.
     let head = entry
-        .cp
-        .as_ref()
-        .and_then(|cp| {
-            cp.journal()
-                .commands()
-                .first()
-                .map(riot_core::command_to_line)
-        })
+        .editor()
+        .journal()
+        .commands()
+        .first()
+        .map(riot_core::command_to_line)
         .unwrap_or_default();
     cfg.flightrec
         .record(worker, session, FlightKind::Open, head, true, trace);
@@ -592,11 +590,10 @@ fn apply_single(
             ) {
                 Ok(_) => {
                     let entry = sessions.get(&job.session).expect("ensure_open inserted");
-                    let cp = entry
-                        .cp
-                        .as_ref()
-                        .expect("session is suspended between jobs");
-                    send_reply(job, ReplyBody::Ok(session_stats_line(cp.stats())));
+                    send_reply(
+                        job,
+                        ReplyBody::Ok(session_stats_line(entry.editor().stats())),
+                    );
                     return;
                 }
                 Err(e) => ReplyBody::Err(e),
@@ -611,11 +608,10 @@ fn apply_single(
     }
 }
 
-/// Applies a run of consecutive `Cmd` jobs for one session under a
-/// single resumed editor, then stages the WAL records on the batch's
-/// commit queue. Replies wait for the covering flush pass: no `ok`
-/// escapes before its records are fsynced — acknowledged means
-/// durable.
+/// Applies a run of consecutive `Cmd` jobs to one session's editor,
+/// then stages the WAL records on the batch's commit queue. Replies
+/// wait for the covering flush pass: no `ok` escapes before its records
+/// are fsynced — acknowledged means durable.
 fn apply_cmd_run(
     cfg: &ServeConfig,
     sessions: &mut HashMap<String, SessionEntry>,
@@ -625,7 +621,7 @@ fn apply_cmd_run(
 ) {
     let session = run[0].session.clone();
     // The run-level context: the first traced job. A pipelining client
-    // reuses one trace across its burst, so per-run spans (resume,
+    // reuses one trace across its burst, so per-run spans (apply,
     // flush) land in the trace that paid for them.
     let run_ctx = run
         .iter()
@@ -646,7 +642,7 @@ fn apply_cmd_run(
         }
         return;
     }
-    let mut entry = sessions.remove(&session).expect("ensure_open inserted");
+    let entry = sessions.get_mut(&session).expect("ensure_open inserted");
     entry.last_touch = Instant::now();
 
     // Phase 1: execute, buffering outcomes. A journal-append fault
@@ -658,51 +654,35 @@ fn apply_cmd_run(
     let mut outcomes: Vec<Result<String, String>> = Vec::with_capacity(run.len());
     let mut apply_ns: Vec<u64> = Vec::with_capacity(run.len());
     let mut crashed: Option<String> = None;
-    {
-        let resume_start = Instant::now();
-        let mut ed = match Editor::resume(&mut entry.lib, entry.cp.take().expect("suspended")) {
-            Ok(ed) => ed,
-            Err(e) => {
-                let msg = format!("resume failed: {e}");
-                pending.fail_session(&session, &msg);
-                for job in &run {
-                    send_reply(job, ReplyBody::Err(msg.clone()));
-                }
-                return;
-            }
+    for job in &run {
+        let JobKind::Cmd { line } = &job.kind else {
+            unreachable!("run holds only Cmd jobs")
         };
-        riot_trace::complete_span("serve.session.resume", run_ctx, resume_start, &[]);
-        for job in &run {
-            let JobKind::Cmd { line } = &job.kind else {
-                unreachable!("run holds only Cmd jobs")
-            };
-            if cfg.faults.should_inject(FAULT_SERVE_JOURNAL_APPEND) {
-                cfg.flightrec.record(
-                    worker,
-                    &session,
-                    FlightKind::Fault,
-                    "serve.journal.append",
-                    false,
-                    job.trace.trace_id,
-                );
-                crashed = Some(line.clone());
-                break;
-            }
-            let exec_start = Instant::now();
-            let outcome = execute_line(&mut ed, line).map_err(|e| e.to_string());
-            riot_trace::complete_span("serve.cmd.apply", job.trace, exec_start, &[]);
-            apply_ns.push(exec_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        if cfg.faults.should_inject(FAULT_SERVE_JOURNAL_APPEND) {
             cfg.flightrec.record(
                 worker,
                 &session,
-                FlightKind::Cmd,
-                line.clone(),
-                outcome.is_ok(),
+                FlightKind::Fault,
+                "serve.journal.append",
+                false,
                 job.trace.trace_id,
             );
-            outcomes.push(outcome);
+            crashed = Some(line.clone());
+            break;
         }
-        entry.cp = Some(ed.suspend());
+        let exec_start = Instant::now();
+        let outcome = execute_line(entry.editor_mut(), line).map_err(|e| e.to_string());
+        riot_trace::complete_span("serve.cmd.apply", job.trace, exec_start, &[]);
+        apply_ns.push(exec_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        cfg.flightrec.record(
+            worker,
+            &session,
+            FlightKind::Cmd,
+            line.clone(),
+            outcome.is_ok(),
+            job.trace.trace_id,
+        );
+        outcomes.push(outcome);
     }
 
     if let Some(line) = crashed {
@@ -722,7 +702,7 @@ fn apply_cmd_run(
         // A fault trip is exactly what the flight recorder exists for:
         // put the evidence on disk while the process is still healthy.
         let _ = cfg.flightrec.dump_to(&cfg.root);
-        drop(entry); // NOT reinserted — a later cmd/open recovers it.
+        sessions.remove(&session); // a later cmd/open recovers it
         let msg = "session crashed: fault injected at journal append; \
                    not applied — reopen to recover";
         // Earlier runs staged for this session die with it: their
@@ -738,7 +718,6 @@ fn apply_cmd_run(
     // batch's flush pass makes it durable, sharing one fsync per dirty
     // WAL with every other run staged in the batch.
     entry.stage_journal();
-    sessions.insert(session, entry);
     pending.runs.push(StagedRun {
         jobs: run,
         outcomes,
@@ -910,9 +889,9 @@ fn log_slow_commands(cfg: &ServeConfig, run: &[Job], apply_ns: &[u64], flush_ns:
     }
 }
 
-/// Suspend-to-WAL sessions idle past the deadline. An evicted session
-/// gets a parting snapshot so its eventual recovery is O(snapshot), not
-/// O(history).
+/// Flushes to the WAL and drops the sessions idle past the deadline.
+/// An evicted session gets a parting snapshot so its eventual recovery
+/// is O(snapshot), not O(history).
 fn evict_idle(cfg: &ServeConfig, sessions: &mut HashMap<String, SessionEntry>) {
     let now = Instant::now();
     let idle: Vec<String> = sessions

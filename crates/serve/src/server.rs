@@ -689,7 +689,23 @@ mod tests {
         assert!(line.contains("cache_hits"), "{line}");
         assert!(line.contains("hit_rate"), "{line}");
         assert!(line.contains("damage_rects"), "{line}");
-        assert!(line.contains("damage_coalesced"), "{line}");
+        // A served session stays warm: the editor that answered the
+        // first `connect` answers the second from its connector cache.
+        assert_eq!(c.cmd("st1", "create nand2 B").unwrap(), "instance 1");
+        assert_eq!(c.cmd("st1", "connect B PWRL A PWRR").unwrap(), "done");
+        let misses = |line: &str| -> u64 {
+            let mut words = line.split_whitespace();
+            words.find(|w| *w == "cache_misses");
+            words
+                .next()
+                .and_then(|n| n.parse().ok())
+                .expect("a miss count")
+        };
+        let cold = misses(&c.stats_session("st1").unwrap());
+        assert_eq!(c.cmd("st1", "clearpend").unwrap(), "done");
+        assert_eq!(c.cmd("st1", "connect B PWRL A PWRR").unwrap(), "done");
+        let line = c.stats_session("st1").unwrap();
+        assert_eq!(misses(&line), cold, "{line}");
         // The pool-wide line still answers the bare verb.
         assert!(c.stats().unwrap().contains("sessions"), "pool-wide stats");
         // A session that was never opened is an error, not a panic.

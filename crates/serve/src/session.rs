@@ -1,6 +1,6 @@
-//! Hosted sessions: an owned [`Library`] plus a suspended editor
-//! [`Checkpoint`], backed by a per-session `RIOTWAL1` write-ahead file
-//! and an optional `RIOTSNAP1` snapshot.
+//! Hosted sessions: a live [`Editor`] that owns its [`Library`], backed
+//! by a per-session `RIOTWAL1` write-ahead file and an optional
+//! `RIOTSNAP1` snapshot.
 //!
 //! # Durability contract
 //!
@@ -44,8 +44,8 @@
 use crate::fault::ServeFaults;
 use crate::snapshot::{load_snapshot, write_snapshot};
 use riot_core::{
-    encode_session, encode_wal_record, record, Checkpoint, Command, Editor, Journal, Library,
-    RiotError, WAL_MAGIC,
+    encode_session, encode_wal_record, record, Command, Editor, Journal, Library, RiotError,
+    WAL_MAGIC,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -72,17 +72,14 @@ pub enum OpenKind {
     },
 }
 
-/// A hosted session at rest: owned library, suspended editor state,
-/// and the open WAL append handle.
+/// A hosted session: the live editor, which owns the session's cell
+/// menu, and the open WAL append handle.
 #[derive(Debug)]
 pub struct SessionEntry {
     /// Session name (also the WAL file stem).
     pub name: String,
-    /// The session's own cell menu.
-    pub lib: Library,
-    /// Suspended editor state; `None` only transiently while a worker
-    /// has the editor resumed.
-    pub cp: Option<Checkpoint>,
+    /// The session's editor; always `Some`.
+    pub cp: Option<Editor<'static>>,
     /// Number of journal records already durable in the WAL.
     pub durable_records: usize,
     /// Last time a worker touched this session (drives idle eviction).
@@ -111,20 +108,17 @@ impl SessionEntry {
         root: &Path,
         name: &str,
         cell: &str,
-        mut lib: Library,
+        lib: Library,
     ) -> Result<SessionEntry, String> {
         let path = wal_path(root, name);
-        let cp = {
-            let ed = Editor::open(&mut lib, cell).map_err(|e| format!("open failed: {e}"))?;
-            ed.suspend()
-        };
+        let ed = Editor::open_owned(lib, cell).map_err(|e| format!("open failed: {e}"))?;
         let mut wal = OpenOptions::new()
             .create(true)
             .truncate(true)
             .write(true)
             .open(&path)
             .map_err(|e| format!("cannot create WAL {}: {e}", path.display()))?;
-        wal.write_all(&cp.journal().to_wal())
+        wal.write_all(&ed.journal().to_wal())
             .and_then(|()| fsync_file(&mut wal))
             .map_err(|e| format!("cannot write WAL head: {e}"))?;
         riot_trace::registry()
@@ -132,8 +126,7 @@ impl SessionEntry {
             .inc();
         Ok(SessionEntry {
             name: name.to_owned(),
-            lib,
-            cp: Some(cp),
+            cp: Some(ed),
             durable_records: 1,
             last_touch: Instant::now(),
             staged: Vec::new(),
@@ -148,9 +141,9 @@ impl SessionEntry {
     /// in one sequence, per the recovery matrix in [`crate::snapshot`]:
     ///
     /// 1. pick the base — the snapshot when it decodes, its journal
-    ///    holds `covered` records, it fits the WAL's layout and the
-    ///    editor resumes from it; else the WAL's `edit` head; else an
-    ///    honest error for a compacted WAL with no usable snapshot;
+    ///    holds `covered` records and it fits the WAL's layout; else the
+    ///    WAL's `edit` head; else an honest error for a compacted WAL
+    ///    with no usable snapshot;
     /// 2. replay the records past the base, stopping at the first that
     ///    fails;
     /// 3. cut the WAL in place to the end of the last record that
@@ -190,36 +183,35 @@ impl SessionEntry {
         let from_snapshot = load_snapshot(root, name)
             .map_err(|e| e.to_string())
             .and_then(|found| {
-                let Some((covered, slib, cp)) = found else {
+                let Some((covered, mut ed)) = found else {
                     return Ok(None);
                 };
                 let past = if head.is_some() { covered } else { 0 };
-                let held = cp.journal().commands().len();
+                let held = ed.journal().commands().len();
                 if covered == 0 || held != covered || past > cmds.len() {
                     return Err(format!(
                         "it covers {covered} records, its journal holds {held}, the WAL {}",
                         cmds.len()
                     ));
                 }
-                let replayed = resume_and_replay(slib, cp, &cmds[past..])?;
-                Ok(Some((replayed, covered, past)))
+                let replayed = replay(&mut ed, &cmds[past..]);
+                Ok(Some((ed, replayed, covered, past)))
             });
         if from_snapshot.is_err() {
             reg.counter("serve.recovery.snapshot_corrupt").inc();
         }
         // 1 + 2, fallback: the `edit` head, every record past it.
-        let ((lib, cp, replayed), snap_covered, past) = match (from_snapshot, head) {
+        let (ed, replayed, snap_covered, past) = match (from_snapshot, head) {
             (Ok(Some(found)), _) => {
                 reg.counter("serve.recovery.snapshot_loads").inc();
                 found
             }
             (_, Some(cell)) => {
                 reg.counter("serve.recovery.full_replay").inc();
-                let mut lib = lib;
-                let cp = Editor::open(&mut lib, cell)
-                    .map_err(|e| format!("recovered head: {e}"))?
-                    .suspend();
-                (resume_and_replay(lib, cp, &cmds[1..])?, 0, 1)
+                let mut ed =
+                    Editor::open_owned(lib, cell).map_err(|e| format!("recovered head: {e}"))?;
+                let replayed = replay(&mut ed, &cmds[1..]);
+                (ed, replayed, 0, 1)
             }
             (Ok(None), None) => {
                 return Err(format!(
@@ -246,12 +238,11 @@ impl SessionEntry {
         };
         let wal = reopen_cut(&path, bytes.starts_with(WAL_MAGIC), end, bytes.len())
             .map_err(|e| format!("cannot cut WAL {}: {e}", path.display()))?;
-        let durable = cp.journal().commands().len();
+        let durable = ed.journal().commands().len();
         Ok((
             SessionEntry {
                 name: name.to_owned(),
-                lib,
-                cp: Some(cp),
+                cp: Some(ed),
                 durable_records: durable,
                 last_touch: Instant::now(),
                 staged: Vec::new(),
@@ -285,16 +276,15 @@ impl SessionEntry {
         }
     }
 
-    /// Encodes every journal record the suspended checkpoint holds
-    /// beyond the staging watermark into the in-memory staging buffer.
+    /// Encodes every journal record the editor holds beyond the staging
+    /// watermark into the in-memory staging buffer.
     /// Nothing touches the disk; a later [`SessionEntry::flush_staged`]
     /// (typically the batch's flush pass) makes it durable.
     /// Returns the number of records staged.
     pub fn stage_journal(&mut self) -> usize {
-        let Some(cp) = self.cp.as_ref() else {
-            return 0;
-        };
-        let cmds = cp.journal().commands();
+        // The field, not `editor()`: the staging fields change below.
+        let ed = self.cp.as_ref().expect("a hosted session has its editor");
+        let cmds = ed.journal().commands();
         let new = &cmds[self.staged_records.min(cmds.len())..];
         if new.is_empty() {
             return 0;
@@ -372,17 +362,15 @@ impl SessionEntry {
     /// `covered` and the payload `bytes`.
     pub fn snapshot_now(&mut self, root: &Path, faults: &ServeFaults) -> bool {
         let mut sp = riot_trace::span("serve.snapshot.cut");
-        let Some(cp) = self.cp.as_ref() else {
-            return false;
-        };
+        let ed = self.editor();
         let covered = self.durable_records;
         sp.field("covered", covered as u64);
-        if cp.journal().commands().len() != covered {
+        if ed.journal().commands().len() != covered {
             // Only fully-flushed states are snapshot-consistent: the
             // snapshot's journal must equal the durable WAL prefix.
             return false;
         }
-        let Ok(payload) = encode_session(&self.lib, cp) else {
+        let Ok(payload) = encode_session(ed) else {
             return false;
         };
         sp.field("bytes", payload.len() as u64);
@@ -405,11 +393,7 @@ impl SessionEntry {
     /// The tail records are acknowledged data, so the rewrite must
     /// never be observable half-done.
     fn compact_wal(&mut self, covered: usize) -> io::Result<()> {
-        let cp = self
-            .cp
-            .as_ref()
-            .expect("compact_wal requires a suspended session");
-        let cmds = cp.journal().commands();
+        let cmds = self.editor().journal().commands();
         let mut tail = Journal::new();
         for cmd in &cmds[covered.min(cmds.len())..] {
             tail.record(cmd.clone());
@@ -458,20 +442,24 @@ impl SessionEntry {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// The session's editor.
+    pub fn editor(&self) -> &Editor<'static> {
+        self.cp.as_ref().expect("a hosted session has its editor")
+    }
+
+    /// The session's editor, to apply commands.
+    pub fn editor_mut(&mut self) -> &mut Editor<'static> {
+        self.cp.as_mut().expect("a hosted session has its editor")
+    }
 }
 
-/// The one replay loop: resumes a suspended editor — a snapshot's, or
-/// a fresh `edit` head's — and replays `tail` through the one
+/// The one replay loop: replays `tail` into a recovered editor — a
+/// snapshot's, or a fresh `edit` head's — through the one
 /// transactional entry point, stopping (and counting
 /// `serve.recovery.replay_stopped`) at the first record that fails.
-/// Returns the rebuilt library, the re-suspended checkpoint, and how
-/// many tail records replayed.
-fn resume_and_replay(
-    mut lib: Library,
-    cp: Checkpoint,
-    tail: &[Command],
-) -> Result<(Library, Checkpoint, usize), String> {
-    let mut ed = Editor::resume(&mut lib, cp).map_err(|e| format!("resume failed: {e}"))?;
+/// Returns how many tail records replayed.
+fn replay(ed: &mut Editor<'_>, tail: &[Command]) -> usize {
     let mut ok = 0usize;
     for cmd in tail {
         if ed.execute(cmd.clone()).is_err() {
@@ -482,8 +470,7 @@ fn resume_and_replay(
         }
         ok += 1;
     }
-    let cp = ed.suspend();
-    Ok((lib, cp, ok))
+    ok
 }
 
 /// Reopens the WAL for append, cut to its first `end` of `len` bytes.
@@ -516,7 +503,7 @@ fn fsync_file(f: &mut File) -> io::Result<()> {
     Ok(())
 }
 
-/// Executes one wire command line against a resumed editor, mapping
+/// Executes one wire command line against a session's editor, mapping
 /// the outcome to a reply detail string.
 ///
 /// # Errors
@@ -559,18 +546,16 @@ mod tests {
         let (mut entry, kind) = SessionEntry::open(&root, "s1", "TOP", standard_library()).unwrap();
         assert_eq!(kind, OpenKind::Created);
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 A").unwrap();
-            execute_line(&mut ed, "create nand2 B").unwrap();
-            execute_line(&mut ed, "translate B 5000 0").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 A").unwrap();
+            execute_line(ed, "create nand2 B").unwrap();
+            execute_line(ed, "translate B 5000 0").unwrap();
         }
         entry.sync_all().unwrap();
         assert_eq!(entry.durable_records, 4);
         drop(entry);
 
-        let (mut entry2, kind2) =
-            SessionEntry::open(&root, "s1", "TOP", standard_library()).unwrap();
+        let (entry2, kind2) = SessionEntry::open(&root, "s1", "TOP", standard_library()).unwrap();
         assert_eq!(
             kind2,
             OpenKind::Recovered {
@@ -578,7 +563,7 @@ mod tests {
                 truncated: false
             }
         );
-        let ed = Editor::resume(&mut entry2.lib, entry2.cp.take().unwrap()).unwrap();
+        let ed = entry2.editor();
         assert_eq!(ed.instances().len(), 2);
         assert_eq!(ed.journal().commands().len(), 4);
         let _ = std::fs::remove_dir_all(root);
@@ -589,17 +574,15 @@ mod tests {
         let root = tmp_root("torn");
         let (mut entry, _) = SessionEntry::open(&root, "s2", "TOP", standard_library()).unwrap();
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 A").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 A").unwrap();
         }
         entry.sync_all().unwrap();
         // Crash mid-append of a command that was never acknowledged.
         entry.append_torn_record("create nand2 B");
         drop(entry);
 
-        let (mut entry2, kind) =
-            SessionEntry::open(&root, "s2", "TOP", standard_library()).unwrap();
+        let (entry2, kind) = SessionEntry::open(&root, "s2", "TOP", standard_library()).unwrap();
         assert_eq!(
             kind,
             OpenKind::Recovered {
@@ -608,7 +591,7 @@ mod tests {
             }
         );
         let wal_file = entry2.path().to_path_buf();
-        let ed = Editor::resume(&mut entry2.lib, entry2.cp.take().unwrap()).unwrap();
+        let ed = entry2.editor();
         assert_eq!(ed.instances().len(), 1, "only the acknowledged command");
         // And the file, cut in place, is now clean.
         let bytes = std::fs::read(&wal_file).unwrap();
@@ -622,9 +605,8 @@ mod tests {
         let root = tmp_root("intact");
         let (mut entry, _) = SessionEntry::open(&root, "in", "TOP", standard_library()).unwrap();
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 A").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 A").unwrap();
         }
         entry.sync_all().unwrap();
         let path = entry.path().to_path_buf();
@@ -686,9 +668,8 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), &bytes[..kept]);
         // The cut WAL takes appends where it now ends.
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 C").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 C").unwrap();
         }
         entry.sync_all().unwrap();
         drop(entry);
@@ -703,9 +684,8 @@ mod tests {
         let faults = crate::fault::ServeFaults::none();
         let (mut entry, _) = SessionEntry::open(&root, "mg", "TOP", standard_library()).unwrap();
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 A").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 A").unwrap();
         }
         entry.sync_all().unwrap();
         assert!(entry.snapshot_now(&root, &faults));
@@ -731,10 +711,9 @@ mod tests {
         let root = tmp_root("staged");
         let (mut entry, _) = SessionEntry::open(&root, "st", "TOP", standard_library()).unwrap();
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 A").unwrap();
-            execute_line(&mut ed, "create nand2 B").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 A").unwrap();
+            execute_line(ed, "create nand2 B").unwrap();
         }
         assert_eq!(entry.stage_journal(), 2);
         assert_eq!(entry.durable_records, 1, "staging wrote nothing");
@@ -754,12 +733,11 @@ mod tests {
         let faults = crate::fault::ServeFaults::none();
         let (mut entry, _) = SessionEntry::open(&root, "sn", "TOP", standard_library()).unwrap();
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
+            let ed = entry.editor_mut();
             for name in ["A", "B", "C"] {
-                execute_line(&mut ed, &format!("create nand2 {name}")).unwrap();
+                execute_line(ed, &format!("create nand2 {name}")).unwrap();
             }
-            execute_line(&mut ed, "undo").unwrap();
-            entry.cp = Some(ed.suspend());
+            execute_line(ed, "undo").unwrap();
         }
         entry.sync_all().unwrap();
         assert!(!entry.maybe_snapshot(&root, 100, &faults), "below interval");
@@ -771,9 +749,8 @@ mod tests {
         assert_eq!(bytes, WAL_MAGIC, "fully compacted");
         // Post-snapshot commands land in the compacted WAL's tail.
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 D").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 D").unwrap();
         }
         entry.sync_all().unwrap();
         drop(entry);
@@ -781,8 +758,7 @@ mod tests {
         let replayed_before = riot_trace::registry()
             .counter("serve.recovery.replayed_records")
             .get();
-        let (mut entry2, kind) =
-            SessionEntry::open(&root, "sn", "TOP", standard_library()).unwrap();
+        let (entry2, kind) = SessionEntry::open(&root, "sn", "TOP", standard_library()).unwrap();
         assert_eq!(
             kind,
             OpenKind::Recovered {
@@ -795,7 +771,7 @@ mod tests {
             .get()
             - replayed_before;
         assert_eq!(replayed, 1, "only the post-snapshot tail replays");
-        let ed = Editor::resume(&mut entry2.lib, entry2.cp.take().unwrap()).unwrap();
+        let ed = entry2.editor();
         assert_eq!(ed.instances().len(), 3, "A, B (C undone), D");
         assert_eq!(ed.undo_depth(), 3, "undo stack restored from snapshot");
         assert_eq!(ed.journal().commands().len(), 6);
@@ -809,10 +785,9 @@ mod tests {
         faults.arm(riot_core::FAULT_SERVE_SNAPSHOT_WRITE, 0);
         let (mut entry, _) = SessionEntry::open(&root, "tf", "TOP", standard_library()).unwrap();
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 A").unwrap();
-            execute_line(&mut ed, "create nand2 B").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 A").unwrap();
+            execute_line(ed, "create nand2 B").unwrap();
         }
         entry.sync_all().unwrap();
         assert!(!entry.snapshot_now(&root, &faults), "fault tears the write");
@@ -829,14 +804,13 @@ mod tests {
         let full_before = riot_trace::registry()
             .counter("serve.recovery.full_replay")
             .get();
-        let (mut entry2, kind) =
-            SessionEntry::open(&root, "tf", "TOP", standard_library()).unwrap();
+        let (entry2, kind) = SessionEntry::open(&root, "tf", "TOP", standard_library()).unwrap();
         assert!(matches!(kind, OpenKind::Recovered { records: 3, .. }));
         let full_after = riot_trace::registry()
             .counter("serve.recovery.full_replay")
             .get();
         assert_eq!(full_after - full_before, 1, "fell back to full replay");
-        let ed = Editor::resume(&mut entry2.lib, entry2.cp.take().unwrap()).unwrap();
+        let ed = entry2.editor();
         assert_eq!(ed.instances().len(), 2);
         let _ = std::fs::remove_dir_all(root);
     }
@@ -847,9 +821,8 @@ mod tests {
         let faults = crate::fault::ServeFaults::none();
         let (mut entry, _) = SessionEntry::open(&root, "sg", "TOP", standard_library()).unwrap();
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 A").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 A").unwrap();
         }
         entry.sync_all().unwrap();
         assert!(entry.snapshot_now(&root, &faults));
@@ -865,18 +838,16 @@ mod tests {
         let root = tmp_root("undo");
         let (mut entry, _) = SessionEntry::open(&root, "s3", "TOP", standard_library()).unwrap();
         {
-            let mut ed = Editor::resume(&mut entry.lib, entry.cp.take().unwrap()).unwrap();
-            execute_line(&mut ed, "create nand2 A").unwrap();
-            execute_line(&mut ed, "undo").unwrap();
-            execute_line(&mut ed, "redo").unwrap();
-            entry.cp = Some(ed.suspend());
+            let ed = entry.editor_mut();
+            execute_line(ed, "create nand2 A").unwrap();
+            execute_line(ed, "undo").unwrap();
+            execute_line(ed, "redo").unwrap();
         }
         entry.sync_all().unwrap();
         drop(entry);
-        let (mut entry2, kind) =
-            SessionEntry::open(&root, "s3", "TOP", standard_library()).unwrap();
+        let (entry2, kind) = SessionEntry::open(&root, "s3", "TOP", standard_library()).unwrap();
         assert!(matches!(kind, OpenKind::Recovered { records: 4, .. }));
-        let ed = Editor::resume(&mut entry2.lib, entry2.cp.take().unwrap()).unwrap();
+        let ed = entry2.editor();
         assert_eq!(ed.instances().len(), 1);
         assert_eq!(ed.undo_depth(), 1);
         let _ = std::fs::remove_dir_all(root);

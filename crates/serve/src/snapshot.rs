@@ -44,13 +44,13 @@
 //! The last row cannot happen without bytes rotting on disk: compaction
 //! only runs after the covering snapshot is durable. "Intact" also
 //! means consistent: the snapshot's journal holds `covered` records,
-//! a full WAL holds at least that many, and the editor resumes from it.
+//! and a full WAL holds at least that many.
 //! [`crate::session::SessionEntry::recover`] walks this table as one
 //! sequence: pick the base, replay the records past it, cut the WAL.
 
 use crate::fault::ServeFaults;
 use riot_core::record::{self, RecordCorruption};
-use riot_core::{decode_session, Checkpoint, Library, FAULT_SERVE_SNAPSHOT_WRITE};
+use riot_core::{decode_session, Editor, FAULT_SERVE_SNAPSHOT_WRITE};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Write};
@@ -157,9 +157,10 @@ pub(crate) fn sync_dir(dir: &Path) {
 }
 
 /// Loads `session`'s snapshot: the journal records it covers
-/// (including the `edit` head), the library and the suspended session
-/// at snapshot time — `None` when there is no snapshot. Counts nothing:
-/// recovery decides whether a loaded snapshot is usable.
+/// (including the `edit` head) and the session's editor, library
+/// included, at snapshot time — `None` when there is no snapshot.
+/// Counts nothing: recovery decides whether a loaded snapshot is
+/// usable.
 ///
 /// # Errors
 ///
@@ -167,19 +168,15 @@ pub(crate) fn sync_dir(dir: &Path) {
 pub fn load_snapshot(
     root: &Path,
     session: &str,
-) -> Result<Option<(usize, Library, Checkpoint)>, SnapshotError> {
+) -> Result<Option<(usize, Editor<'static>)>, SnapshotError> {
     let bytes = match std::fs::read(snap_path(root, session)) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(SnapshotError::Io(e.to_string())),
     };
     let (covered, payload) = parse_snapshot(&bytes)?;
-    let (lib, cp) = decode_session(payload).map_err(|e| SnapshotError::Decode(e.to_string()))?;
-    Ok(Some((
-        usize::try_from(covered).unwrap_or(usize::MAX),
-        lib,
-        cp,
-    )))
+    let ed = decode_session(payload).map_err(|e| SnapshotError::Decode(e.to_string()))?;
+    Ok(Some((usize::try_from(covered).unwrap_or(usize::MAX), ed)))
 }
 
 #[cfg(test)]

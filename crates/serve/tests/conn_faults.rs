@@ -10,7 +10,7 @@
 //!   the worker applied is already journaled, and the WAL must replay
 //!   model-equivalently.
 
-use riot_core::{Editor, Journal, FAULT_SERVE_CONN_BACKLOG, FAULT_SERVE_POLL_WAKEUP};
+use riot_core::{Journal, FAULT_SERVE_CONN_BACKLOG, FAULT_SERVE_POLL_WAKEUP};
 use riot_serve::{standard_library, wal_path, Bind, Client, ServeConfig, Server, SessionEntry};
 use std::time::Duration;
 
@@ -115,10 +115,8 @@ fn backlog_eviction_loses_the_socket_never_the_journal() {
     let mut mlib = standard_library();
     let (model, replayed) = riot_check::lockstep_model(&mut mlib, &cmds).unwrap();
     assert_eq!(replayed, cmds.len());
-    let (mut entry, _) = SessionEntry::recover(&root, "evict", standard_library()).unwrap();
-    let cp = entry.cp.take().unwrap();
-    let ed = Editor::resume(&mut entry.lib, cp).unwrap();
-    riot_check::check_equiv(&ed, &model)
+    let (entry, _) = SessionEntry::recover(&root, "evict", standard_library()).unwrap();
+    riot_check::check_equiv(entry.editor(), &model)
         .unwrap_or_else(|e| panic!("post-eviction recovery diverges from the model: {e}"));
     let _ = std::fs::remove_dir_all(root);
 }

@@ -67,7 +67,7 @@ fn stage(root: &Path, wal: &[u8], snap: Option<&[u8]>) {
 
 /// Proves a recovered entry is model-equivalent to replaying `lines`
 /// from scratch through the riot-check reference model.
-fn assert_model_equivalent(mut entry: SessionEntry, lines: &[&str]) {
+fn assert_model_equivalent(entry: SessionEntry, lines: &[&str]) {
     let mut cmds = vec![riot_core::Command::Edit {
         cell: "TOP".to_owned(),
     }];
@@ -78,9 +78,7 @@ fn assert_model_equivalent(mut entry: SessionEntry, lines: &[&str]) {
     let (model, replayed) = riot_check::lockstep_model(&mut mlib, &cmds)
         .unwrap_or_else(|e| panic!("reference replay diverges: {e}"));
     assert_eq!(replayed, cmds.len());
-    let cp = entry.cp.take().expect("recovered session is suspended");
-    let ed = riot_core::Editor::resume(&mut entry.lib, cp).expect("recovered session resumes");
-    riot_check::check_equiv(&ed, &model)
+    riot_check::check_equiv(entry.editor(), &model)
         .unwrap_or_else(|e| panic!("recovered state diverges from full replay: {e}"));
 }
 
@@ -179,12 +177,9 @@ fn regenerate_snapshot_fixtures() {
 
     let mut entry = SessionEntry::create(&root, "rec", "TOP", standard_library()).unwrap();
     let apply = |entry: &mut SessionEntry, lines: &[&str]| {
-        let cp = entry.cp.take().unwrap();
-        let mut ed = riot_core::Editor::resume(&mut entry.lib, cp).unwrap();
         for line in lines {
-            riot_serve::session::execute_line(&mut ed, line).unwrap();
+            riot_serve::session::execute_line(entry.editor_mut(), line).unwrap();
         }
-        entry.cp = Some(ed.suspend());
         entry.sync_all().unwrap();
     };
     apply(&mut entry, &script_full());

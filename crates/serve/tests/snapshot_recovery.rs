@@ -3,9 +3,10 @@
 //! Three layers of evidence that the durability fast path never
 //! changes what a session *means*:
 //!
-//! * a proptest that `suspend → snapshot → load → resume` is
-//!   state-identical for arbitrary command histories (the canonical
-//!   codec makes byte equality state equality);
+//! * a proptest that `snapshot → load` is state-identical for
+//!   arbitrary command histories (the canonical codec makes byte
+//!   equality state equality), and that the decoded, cold editor then
+//!   edits exactly like the live, warm one;
 //! * a fault injected at the **snapshot write** site tears the
 //!   snapshot, and the session must stay fully usable, its WAL
 //!   uncompacted, and recovery must fall back to a model-equivalent
@@ -33,40 +34,58 @@ fn temp_root(tag: &str) -> std::path::PathBuf {
 }
 
 /// One pseudo-random editing step: gate index + offset, decoded from
-/// an opcode. Failed commands (duplicate create, missing target) are
-/// part of the property — they must not corrupt the snapshot either.
+/// an opcode. Failed commands (duplicate create, missing target,
+/// nothing to abut) are part of the property — they must not corrupt
+/// the snapshot either. Connect and abut read the connector cache.
 fn step_line(op: u8, gate: usize, dx: i32) -> String {
-    match op % 4 {
+    match op % 6 {
         0 => format!("create nand2 G{gate}"),
         1 => format!("translate G{gate} {} 0", i64::from(dx) * 4000),
         2 => "undo".to_owned(),
-        _ => "redo".to_owned(),
+        3 => "redo".to_owned(),
+        4 => format!("connect G{gate} PWRL G{} PWRR", (gate + 1) % 6),
+        _ => "abut touch".to_owned(),
     }
+}
+
+/// Applies `steps` to `ed`. Errors (duplicate names, missing gates,
+/// empty undo stack) are legal editing history; they are ignored.
+fn edit(ed: &mut Editor<'_>, steps: &[(u8, usize, i32)]) {
+    for &(op, gate, dx) in steps {
+        let _ =
+            riot_core::parse_command_line(&step_line(op, gate, dx), 0).map(|cmd| ed.execute(cmd));
+    }
+}
+
+/// The encoded session without its engine counters, the nine `u64`s
+/// that end the payload: time spent and cache hits and misses differ
+/// between a warm and a cold editor that hold the same session.
+fn session_state(ed: &Editor<'_>) -> Vec<u8> {
+    let mut bytes = encode_session(ed).expect("session encodes");
+    bytes.truncate(bytes.len() - 9 * 8);
+    bytes
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `suspend → snapshot → load → resume` round-trips the session
-    /// exactly: the canonical codec re-encodes the decoded session to
-    /// the same bytes, and the decoded session still resumes and
-    /// re-suspends to those bytes.
+    /// `snapshot → load` round-trips the session exactly: the
+    /// canonical codec re-encodes the decoded session to the same
+    /// bytes. Decoding is the one cold start, so a second random tail
+    /// then runs on both the live editor, its connector cache warm,
+    /// and the decoded one: both must end holding the same session and
+    /// reporting the same world connectors for every instance.
     #[test]
     fn snapshot_round_trip_is_state_identical(
-        steps in prop::collection::vec((0u8..4, 0usize..6, -2i32..3), 0..40)
+        steps in prop::collection::vec((0u8..6, 0usize..6, -2i32..3), 0..40),
+        tail in prop::collection::vec((0u8..6, 0usize..6, -2i32..3), 0..20),
     ) {
-        let mut lib = standard_library();
-        let cp = {
-            let mut ed = Editor::open(&mut lib, "TOP").expect("TOP opens");
-            for (op, gate, dx) in steps {
-                // Errors (duplicate names, missing gates, empty undo
-                // stack) are legal editing history; ignore them.
-                let _ = riot_core::parse_command_line(&step_line(op, gate, dx), 0)
-                    .map(|cmd| ed.execute(cmd));
-            }
-            ed.suspend()
-        };
-        let payload = encode_session(&lib, &cp).expect("live session encodes");
+        let mut warm = Editor::open_owned(standard_library(), "TOP").expect("TOP opens");
+        edit(&mut warm, &steps);
+        for (id, _) in warm.instances() {
+            warm.world_connectors(id).expect("live instance");
+        }
+        let payload = encode_session(&warm).expect("live session encodes");
 
         // Framing round-trips: magic, covered count, one record.
         let mut framed = SNAP_MAGIC.to_vec();
@@ -77,21 +96,30 @@ proptest! {
         prop_assert_eq!(parsed, &payload[..]);
 
         // Decode → re-encode is the identity: state-identical.
-        let (lib2, cp2) = decode_session(&payload).expect("own payload decodes");
+        let mut cold = decode_session(&payload).expect("own payload decodes");
         prop_assert_eq!(
-            encode_session(&lib2, &cp2).expect("decoded session re-encodes"),
-            payload.clone()
-        );
-
-        // And the decoded session is alive: resume, suspend, still
-        // the same bytes.
-        let mut lib2 = lib2;
-        let ed2 = Editor::resume(&mut lib2, cp2).expect("decoded session resumes");
-        let cp3 = ed2.suspend();
-        prop_assert_eq!(
-            encode_session(&lib2, &cp3).expect("resumed session re-encodes"),
+            encode_session(&cold).expect("decoded session re-encodes"),
             payload
         );
+
+        // A cold editor behaves like a warm one.
+        edit(&mut warm, &tail);
+        edit(&mut cold, &tail);
+        prop_assert_eq!(session_state(&warm), session_state(&cold));
+        let counts = |ed: &Editor<'_>| {
+            let s = ed.stats();
+            (s.applied, s.undos, s.redos, s.rollbacks, s.events, s.damage_rects)
+        };
+        prop_assert_eq!(counts(&warm), counts(&cold));
+        let ids: Vec<_> = warm.instances().into_iter().map(|(id, _)| id).collect();
+        let cold_ids: Vec<_> = cold.instances().into_iter().map(|(id, _)| id).collect();
+        prop_assert_eq!(&ids, &cold_ids);
+        for id in ids {
+            prop_assert_eq!(
+                warm.world_connectors(id).expect("live instance"),
+                cold.world_connectors(id).expect("live instance")
+            );
+        }
     }
 }
 
@@ -142,7 +170,7 @@ fn torn_snapshot_never_compacts_and_recovery_falls_back() {
     assert!(parse_snapshot(&snap).is_err(), "snapshot is torn");
     let fallbacks = riot_trace::registry().counter("serve.recovery.full_replay");
     let before = fallbacks.get();
-    let (mut entry, kind) = SessionEntry::recover(&root, "snapfault", standard_library()).unwrap();
+    let (entry, kind) = SessionEntry::recover(&root, "snapfault", standard_library()).unwrap();
     assert!(matches!(
         kind,
         riot_serve::OpenKind::Recovered { records: 11, .. }
@@ -152,9 +180,7 @@ fn torn_snapshot_never_compacts_and_recovery_falls_back() {
     // Model equivalence of the fallback recovery.
     let mut mlib = standard_library();
     let (model, _) = riot_check::lockstep_model(&mut mlib, &cmds).unwrap();
-    let cp = entry.cp.take().unwrap();
-    let ed = Editor::resume(&mut entry.lib, cp).unwrap();
-    riot_check::check_equiv(&ed, &model)
+    riot_check::check_equiv(entry.editor(), &model)
         .unwrap_or_else(|e| panic!("fallback recovery diverges: {e}"));
     let _ = std::fs::remove_dir_all(root);
 }
