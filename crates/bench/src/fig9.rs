@@ -12,7 +12,7 @@
 //! replay measures like the build, and the replayed session is timed
 //! only after it re-encodes to the same bytes through an
 //! `encode_session` / `decode_session` round trip. Each time is the
-//! fastest of [`PASSES`]:
+//! fastest of `PASSES`:
 //!
 //! * the replay (`live_ns`), and each command kind's share of the
 //!   fastest pass (`<kind>.count`, `<kind>.total_ns`, with tracing off;
@@ -26,15 +26,14 @@
 //!
 //! Metrics are named `<style>.<bits>.<measure>`, so
 //! `Report::axis("routed", "drc_ns")` reads one series. The sizes and
-//! the pass count are constants, and `riot::geom::par` is pinned to one
-//! thread so that a second core does not bend the per-doubling ratios.
+//! the pass count are constants.
 
 use crate::harness::{best_of, timed, write, Flags, Report};
 use riot::core::measure::measure;
 use riot::core::{decode_session, encode_session, Command, Editor, Library, RiotError};
 use riot::drc::RuleSet;
 use riot::filter::{build_logic, logic_menu, FilterLogic, LogicStyle};
-use riot::geom::{par, LAMBDA};
+use riot::geom::LAMBDA;
 use riot::trace::export::fmt_ns;
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
@@ -121,8 +120,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     write(&r, flags)
 }
 
-/// The suite's report at each of `bits`, in both styles, with
-/// `riot::geom::par` pinned to one thread.
+/// The suite's report at each of `bits`, in both styles.
 ///
 /// # Errors
 ///
@@ -132,15 +130,13 @@ pub fn run(flags: &Flags) -> Result<(), String> {
 ///
 /// As [`build_logic`], when a size is not a power of two of at least 4.
 pub fn sweep(bits: &[usize]) -> Result<Report, String> {
-    par::set_threads(1);
-    let mut r = Report::new("fig9", &[("threads", 1), ("passes", PASSES)]);
-    let done = bits.iter().try_for_each(|&bits| {
+    let mut r = Report::new("fig9", &[("passes", PASSES)]);
+    bits.iter().try_for_each(|&bits| {
         STYLES.iter().try_for_each(|&style| {
             point(&mut r, style, bits).map_err(|e| format!("{} at {bits} bits: {e}", style.name()))
         })
-    });
-    par::set_threads(0);
-    done.map(|()| r)
+    })?;
+    Ok(r)
 }
 
 /// Builds, checks and times one style at one size into `r`.
@@ -282,16 +278,15 @@ fn connectors(lib: &mut Library, cell: &str) -> Result<(u64, u64), Box<dyn Error
 /// * the stretched block has one route cell (the bring-out), the routed
 ///   one `bits` (one per gate, plus the bring-out);
 /// * the stretched block is DRC-clean;
-/// * from [`CACHE_GATE_BITS`] up, rebuilding world connectors costs at
-///   least [`CACHE_SPEEDUP`] times the cached lookup;
+/// * from `CACHE_GATE_BITS` up, rebuilding world connectors costs at
+///   least `CACHE_SPEEDUP` times the cached lookup;
 /// * the routed `session_bytes` grow at most
-///   [`SESSION_GROWTH_TENTHS`] / 10 times from one size to the next.
+///   `SESSION_GROWTH_TENTHS` / 10 times from one size to the next.
 ///
 /// # Errors
 ///
 /// The first check that fails.
 pub fn check(r: &Report) -> Result<(), String> {
-    r.param("threads")?;
     r.param("passes")?;
     let sizes: BTreeSet<u64> = STYLES
         .iter()

@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_value_parse() {
         let mut r = Report::new("route", &[("nets", 256)]);
-        r.set("grid.serial_ns", u64::MAX);
+        r.set("grid.solve_ns", u64::MAX);
         r.set("conns.64.elapsed_ns", 7);
         let text = r.to_json();
         assert!(text.contains("\"schema\": \"riot-bench/2\""));
@@ -371,7 +371,7 @@ mod tests {
         let flags = Flags::parse(&args(&["--out", out.to_str().unwrap()]), &["--out"], 0).unwrap();
         for failing in [
             Report::new("profile", &[("commands", 0)]),
-            Report::new("fig9", &[("threads", 1), ("passes", 3)]),
+            Report::new("fig9", &[("passes", 3)]),
         ] {
             assert!(write(&failing, &flags).is_err());
             assert!(!out.exists(), "a failed check must write nothing");

@@ -1,5 +1,5 @@
 //! `riot-bench incremental`: one-instance edits on a large flat chip,
-//! incremental recompute (flatten cache, DRC patch, dirty-band repaint)
+//! incremental recompute (flatten cache, DRC patch, dirty-rect repaint)
 //! against full recompute.
 //!
 //! The workload is [`crate::grid_chip`]: a DRC-clean leaf of
@@ -15,7 +15,7 @@ use crate::harness::{timed, violation_keys, write, Flags, Report};
 use riot::cif::{CifFile, FlatShape, FlattenCache};
 use riot::drc::{check_incremental, DrcState, RuleSet, Violation};
 use riot::geom::{Point, Rect, Transform, LAMBDA};
-use riot::graphics::{render_ops_banded, DrawOp, Framebuffer, RenderCache, Viewport};
+use riot::graphics::{DrawOp, Framebuffer, RenderCache, Viewport};
 use riot::trace::export::fmt_ns;
 use riot::ui::render::flat_cif_ops;
 
@@ -51,15 +51,15 @@ struct Retained {
 }
 
 /// One full recompute: flatten from scratch, check the whole chip,
-/// rebuild the display list, render every band.
+/// rebuild the display list, render the whole screen.
 fn full_pass(file: &CifFile, rules: &RuleSet, vp: &Viewport) -> ([u64; 3], Artifacts) {
     let (flatten, (shapes, _)) = timed(|| riot::cif::flatten_counted(file).expect("full flatten"));
     let (drc, violations) = timed(|| riot::drc::check(&shapes, rules));
     let (render, (ops, fb)) = timed(|| {
-        let ops = flat_cif_ops(&shapes).ops().to_vec();
+        let list = flat_cif_ops(&shapes);
         let mut fb = Framebuffer::new(SCREEN_W, SCREEN_H);
-        render_ops_banded(&ops, vp, &mut fb);
-        (ops, fb)
+        list.render(vp, &mut fb);
+        (list.ops().to_vec(), fb)
     });
     ([flatten, drc, render], (shapes, violations, ops, fb))
 }
@@ -165,9 +165,10 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .expect("non-empty chip");
     let vp = Viewport::fit(chip, SCREEN_W, SCREEN_H);
     let (build_ns, state) = timed(|| DrcState::build(cache.shapes(), &rules));
-    let ops = flat_cif_ops(cache.shapes()).ops().to_vec();
+    let list = flat_cif_ops(cache.shapes());
     let mut fb = Framebuffer::new(SCREEN_W, SCREEN_H);
-    render_ops_banded(&ops, &vp, &mut fb);
+    list.render(&vp, &mut fb);
+    let ops = list.ops().to_vec();
     let rc = RenderCache::build(&ops, &vp);
     let flat_shapes = cache.shapes().len();
     let mut kept = Retained {
@@ -219,7 +220,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
 /// The incremental report's checks: the chip is `leaf_shapes × grid²`
 /// shapes, every stage time positive and no total below its largest
 /// stage, damage reported and patched with zero full rebuilds, and the
-/// speed gates ([`GATE_SHAPES`], [`GATE_BIG_SHAPES`]).
+/// speed gates (`GATE_SHAPES`, `GATE_BIG_SHAPES`).
 ///
 /// # Errors
 ///

@@ -1,11 +1,9 @@
-//! `riot-bench spatial`: naive vs indexed DRC, the indexed checker at
-//! 1, 2 and 4 worker threads (via `riot::geom::par::set_threads`), and
-//! recursive vs memoized CIF flatten. Each pair is asserted to give
-//! identical results before its timings are kept.
+//! `riot-bench spatial`: naive vs indexed DRC and recursive vs memoized
+//! CIF flatten. Each pair is asserted to give identical results before
+//! its timings are kept.
 
 use crate::harness::{best_of, violation_keys, write, Flags, Report};
 use riot::drc::{naive, RuleSet};
-use riot::geom::par;
 use riot::trace::export::fmt_ns;
 
 /// The flags `spatial` accepts.
@@ -18,11 +16,8 @@ pub const FLAGS: &[&str] = &[
     "--out",
 ];
 
-/// The worker counts the indexed checker is timed at.
-const THREADS: [u64; 3] = [1, 2, 4];
-
-/// From CI's smoke size up, the best indexed DRC must beat the
-/// all-pairs checker; on smaller inputs its setup can dominate.
+/// From CI's smoke size up, the indexed DRC must beat the all-pairs
+/// checker; on smaller inputs its setup can dominate.
 const GATE_SHAPES: u64 = 5_000;
 
 /// Measures, checks and writes the spatial report.
@@ -51,17 +46,13 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let rules = RuleSet::nmos();
     let (naive_ns, reference) = best_of(iters, || naive::check(&soup, &rules));
     let reference = violation_keys(reference);
-    for threads in THREADS {
-        par::set_threads(threads as usize);
-        let (ns, got) = best_of(iters, || riot::drc::check(&soup, &rules));
-        par::set_threads(0);
-        assert_eq!(
-            violation_keys(got),
-            reference,
-            "indexed DRC diverged from naive at {threads} threads"
-        );
-        r.set(format!("drc.threads.{threads}.indexed_ns"), ns);
-    }
+    let (indexed_ns, got) = best_of(iters, || riot::drc::check(&soup, &rules));
+    assert_eq!(
+        violation_keys(got),
+        reference,
+        "indexed DRC diverged from naive"
+    );
+    r.set("drc.indexed_ns", indexed_ns);
     r.set("drc.naive_ns", naive_ns);
     r.set("drc.violations", reference.len() as u64);
 
@@ -81,14 +72,13 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     r.set("flatten.memo_hits", stats.memo_hits as u64);
     r.set("flatten.memo_misses", stats.memo_misses as u64);
 
-    let best = best_indexed(&r)?;
     eprintln!(
-        "drc: {shapes} shapes, {} violations, naive {}, indexed best {} ({:.1}x)\n\
+        "drc: {shapes} shapes, {} violations, naive {}, indexed {} ({:.1}x)\n\
          flatten: {} shapes, recursive {}, memo {} ({:.1}x)",
         reference.len(),
         fmt_ns(naive_ns),
-        fmt_ns(best),
-        naive_ns as f64 / best as f64,
+        fmt_ns(indexed_ns),
+        naive_ns as f64 / indexed_ns as f64,
         stats.shapes,
         fmt_ns(recursive_ns),
         fmt_ns(memo_ns),
@@ -97,28 +87,9 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     write(&r, flags)
 }
 
-/// The fastest indexed DRC time. The thread axis must hold exactly the
-/// [`THREADS`] points, each positive.
-///
-/// # Errors
-///
-/// A missing, extra or zero thread point.
-pub fn best_indexed(r: &Report) -> Result<u64, String> {
-    let axis = r.axis("drc.threads", "indexed_ns");
-    if !axis.iter().map(|p| p.0).eq(THREADS) {
-        return Err(format!(
-            "indexed DRC thread axis is {axis:?}, not {THREADS:?}"
-        ));
-    }
-    match axis.iter().map(|p| p.1).min() {
-        Some(0) | None => Err("an indexed DRC timing is zero".into()),
-        Some(best) => Ok(best),
-    }
-}
-
 /// The spatial report's checks: every timing positive, every count
-/// present, and from [`GATE_SHAPES`] up the best indexed DRC faster
-/// than naive.
+/// present, and from `GATE_SHAPES` up the indexed DRC faster than
+/// naive.
 ///
 /// # Errors
 ///
@@ -136,14 +107,19 @@ pub fn check(r: &Report) -> Result<(), String> {
     ] {
         r.get(name)?;
     }
-    for name in ["drc.naive_ns", "flatten.recursive_ns", "flatten.memo_ns"] {
+    for name in [
+        "drc.naive_ns",
+        "drc.indexed_ns",
+        "flatten.recursive_ns",
+        "flatten.memo_ns",
+    ] {
         r.positive(name)?;
     }
-    let best = best_indexed(r)?;
     let (shapes, naive_ns) = (r.param("shapes")?, r.get("drc.naive_ns")?);
-    if shapes >= GATE_SHAPES && best >= naive_ns {
+    let indexed_ns = r.get("drc.indexed_ns")?;
+    if shapes >= GATE_SHAPES && indexed_ns >= naive_ns {
         return Err(format!(
-            "indexed DRC ({best} ns) is not faster than naive ({naive_ns} ns) at {shapes} shapes"
+            "indexed DRC ({indexed_ns} ns) is not faster than naive ({naive_ns} ns) at {shapes} shapes"
         ));
     }
     Ok(())

@@ -25,7 +25,6 @@ fn refusal(edit: impl FnOnce(&mut Report)) -> String {
 fn toy_sizes_pass_the_suite_checks() {
     let r = toy();
     check(r).unwrap();
-    assert_eq!(r.param("threads").unwrap(), 1);
     for style in STYLES {
         let sizes: Vec<u64> = r
             .axis(style.name(), "live_ns")

@@ -11,10 +11,8 @@
 //! computed once — DAG-sized tree-walking — and every further
 //! instantiation is a flat pass applying one transform per shape, with
 //! translation-only placements taking a validation-free fast path.
-//! Large instantiations are spread across the [`riot_geom::par`]
-//! worker pool. The original recursive walker is retained as
-//! [`flatten_recursive`] / [`flatten_cell`] for differential tests and
-//! benchmarks.
+//! The original recursive walker is retained as [`flatten_recursive`] /
+//! [`flatten_cell`] for differential tests and benchmarks.
 //!
 //! # Memoization invariants
 //!
@@ -29,7 +27,7 @@
 
 use crate::error::{ErrorKind, ParseCifError};
 use crate::model::{CifFile, Geometry};
-use riot_geom::{par, Layer, Orientation, Path, Point, Rect, Transform};
+use riot_geom::{Layer, Orientation, Path, Point, Rect, Transform};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -61,13 +59,6 @@ pub struct FlattenStats {
 /// Maximum instantiation depth; deeper means a definition cycle in a
 /// well-formed separated hierarchy.
 const MAX_DEPTH: usize = 64;
-
-/// Instantiation jobs below this many output shapes stay serial — the
-/// scoped pool's spawn latency would dominate tiny flattens.
-const PAR_SHAPE_CUTOFF: usize = 8192;
-
-/// Shapes per parallel instantiation job.
-const PAR_CHUNK: usize = 4096;
 
 /// Flattens the file's top-level content (shapes and calls) into
 /// absolute-coordinate shapes.
@@ -136,32 +127,10 @@ pub fn flatten_counted(file: &CifFile) -> Result<(Vec<FlatShape>, FlattenStats),
     }
 
     // Instantiate each top call from its memo entry: one transform
-    // application per shape, no tree left to walk. Large outputs are
-    // chunked across the worker pool.
-    if total < PAR_SHAPE_CUTOFF || par::threads() == 1 {
-        for call in file.top_calls() {
-            let entry = &memo.cells[&call.cell];
-            instantiate_into(&entry.shapes, call.transform, &mut out);
-        }
-    } else {
-        let jobs: Vec<(Transform, &[FlatShape])> = file
-            .top_calls()
-            .iter()
-            .flat_map(|call| {
-                memo.cells[&call.cell]
-                    .shapes
-                    .chunks(PAR_CHUNK)
-                    .map(|chunk| (call.transform, chunk))
-            })
-            .collect();
-        let produced = par::map_heavy(&jobs, |(t, chunk)| {
-            let mut part = Vec::with_capacity(chunk.len());
-            instantiate_into(chunk, *t, &mut part);
-            part
-        });
-        for part in produced {
-            out.extend(part);
-        }
+    // application per shape, no tree left to walk.
+    for call in file.top_calls() {
+        let entry = &memo.cells[&call.cell];
+        instantiate_into(&entry.shapes, call.transform, &mut out);
     }
     debug_assert_eq!(out.len(), total);
 
@@ -283,7 +252,7 @@ pub struct FlattenDelta {
 /// in place, splicing only the top-level segments whose content moved.
 /// It returns the world rects those segments covered before and after,
 /// which is exactly the damage the downstream incremental DRC and
-/// dirty-band render need.
+/// dirty-rect render need.
 ///
 /// The retained output is always bit-identical (order, depth values)
 /// to what [`flatten_counted`] would produce from scratch — the

@@ -8,18 +8,18 @@
 //!
 //! This crate provides:
 //!
-//! * a faithful lexer/parser for CIF 2.0 ([`parse`]): `DS`/`DF`/`DD`
-//!   definitions, `C` calls with `T`/`M`/`R` transforms, `B` boxes, `P`
-//!   polygons, `W` wires, `R` round flashes, `L` layers, comments, and
-//!   numbered user extensions;
+//! * a faithful lexer/parser for CIF 2.0 ([`parse`](fn@parse)):
+//!   `DS`/`DF`/`DD` definitions, `C` calls with `T`/`M`/`R` transforms,
+//!   `B` boxes, `P` polygons, `W` wires, `R` round flashes, `L` layers,
+//!   comments, and numbered user extensions;
 //! * the Riot connector extension: `94 name x y layer [width];`
 //!   (the historical Caltech label extension, carrying layer and width);
 //! * extension `9 name;` naming a cell definition;
 //! * a semantic model ([`model::CifFile`], [`model::CifCell`]) with
 //!   resolved layers, transforms and connectors;
-//! * a writer ([`write`]) producing canonical CIF text;
-//! * a flattener ([`flatten`]) instantiating the hierarchy into painted
-//!   geometry for rendering and area accounting.
+//! * a writer ([`write`](mod@write)) producing canonical CIF text;
+//! * a flattener ([`flatten`](fn@flatten)) instantiating the hierarchy
+//!   into painted geometry for rendering and area accounting.
 //!
 //! # Example
 //!

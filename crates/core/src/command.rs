@@ -12,7 +12,7 @@
 //! * history — undo reverts the record the command's application
 //!   filled in, and redo re-executes the command itself.
 //!
-//! Applying a command yields a [`CommandEffect`]: the caller-visible
+//! Applying a command yields a `CommandEffect`: the caller-visible
 //! [`Outcome`] and the exact (possibly name-deduplicated) command to
 //! journal.
 

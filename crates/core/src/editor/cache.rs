@@ -27,7 +27,7 @@ const MAX_DAMAGE_RECTS: usize = 64;
 ///
 /// This replaces boolean staleness: instead of "something changed,
 /// recompute the chip", downstream consumers (incremental DRC, the
-/// flatten cache, dirty-band render) receive the actual changed
+/// flatten cache, dirty-rect render) receive the actual changed
 /// regions and recompute O(damage). Events whose geometry is unknown
 /// degrade to `full` — correctness never depends on a rect being
 /// available.

@@ -6,7 +6,7 @@
 //! signatures the session always had, but their bodies now construct a
 //! [`Command`] and hand it to [`Editor::execute`], which:
 //!
-//! 1. opens an undo record ([`crate::history`]) that the command's
+//! 1. opens an undo record (`crate::history`) that the command's
 //!    edits fill in with the state they replace;
 //! 2. applies the command (the bodies live in the `ops_*` submodules),
 //!    reverting the record if it fails, so a failed abut/route/stretch

@@ -1,5 +1,5 @@
 //! The change-event bus: every mutation the command engine performs is
-//! announced as a [`ChangeEvent`].
+//! announced as a `ChangeEvent`.
 //!
 //! Events stay inside the editor. They drive incremental invalidation
 //! of the derived-geometry caches (world bounding boxes, world
@@ -15,7 +15,7 @@
 //! and the incremental DRC/flatten/render paths build on. A rect of
 //! `None` means the box could not be determined (degenerate cells);
 //! consumers must then fall back to a full recompute, which
-//! [`ChangeEvent::BulkRestore`] also demands.
+//! `ChangeEvent::BulkRestore` also demands.
 //!
 //! [`Stats`] aggregates engine counters (commands applied, undos,
 //! rollbacks, cache hit rates, damage-rect tallies) for

@@ -17,8 +17,8 @@
 //! The [`Library`] is the cell menu; the [`Editor`] is a graphical
 //! editing session on one composition cell, holding the pending
 //! connection list the screen displays continuously. Every editing
-//! command is journaled for [`replay`] — Riot's recovery mechanism when
-//! leaf cells change shape.
+//! command is journaled for [`replay`](fn@replay) — Riot's recovery
+//! mechanism when leaf cells change shape.
 //!
 //! # Example
 //!

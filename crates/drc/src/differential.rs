@@ -1,11 +1,11 @@
 //! Differential property tests: the indexed checker must report the
 //! same violation set as the retained all-pairs reference on random
-//! rect soups, at every thread count.
+//! rect soups.
 
 use crate::{check, naive, RuleSet, Violation};
 use proptest::prelude::*;
 use riot_cif::{FlatShape, Geometry};
-use riot_geom::{par, Layer, Path, Point, Rect, LAMBDA};
+use riot_geom::{Layer, Path, Point, Rect, LAMBDA};
 
 const LAYERS: [Layer; 4] = [Layer::Metal, Layer::Poly, Layer::Diffusion, Layer::Contact];
 
@@ -194,18 +194,6 @@ proptest! {
         let reference = normalized(naive::check(&shapes, &rules));
         let indexed = normalized(check(&shapes, &rules));
         prop_assert_eq!(indexed, reference);
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results(shapes in arb_soup()) {
-        let rules = RuleSet::nmos();
-        let reference = normalized(naive::check(&shapes, &rules));
-        for t in [1usize, 2, 4] {
-            par::set_threads(t);
-            let indexed = normalized(check(&shapes, &rules));
-            par::set_threads(0);
-            prop_assert_eq!(&indexed, &reference, "threads = {}", t);
-        }
     }
 
     /// The tentpole equivalence: a retained [`crate::DrcState`]

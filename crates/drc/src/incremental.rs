@@ -4,11 +4,17 @@
 //! rects per layer, connected-component labels, and the per-pair
 //! spacing representatives — plus the spatial indexes used to compute
 //! them. [`check_incremental`] patches that state from a list of dirty
-//! world rects: only shapes whose bounding boxes touch the damage are
-//! diffed, only components touching removed or added geometry are
-//! re-labeled, and only spacing pairs involving those components are
-//! re-measured. Everything else is carried over untouched, making an
-//! edit cost O(damage), not O(chip).
+//! world rects in two steps:
+//!
+//! * **Diff.** Every retained slot and every new shape is tested
+//!   against the damage, and only the shapes whose bounding boxes touch
+//!   it are diffed. Both scans walk a whole shape list, so the diff
+//!   is O(chip) — a cheap bounding-box test per shape, but on a
+//!   million-shape chip it is most of an edit's cost.
+//! * **Patch.** Only components touching removed or added geometry are
+//!   re-labeled, and only spacing pairs involving those components are
+//!   re-measured. Everything else is carried over untouched, so the
+//!   patch costs O(damage).
 //!
 //! # Contract
 //!

@@ -47,7 +47,7 @@ mod unionfind;
 pub use incremental::{check_incremental, DrcState};
 
 use riot_cif::{FlatShape, Geometry};
-use riot_geom::{index::SpatialIndex, par, Layer, Rect, LAMBDA};
+use riot_geom::{index::SpatialIndex, Layer, Rect, LAMBDA};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use unionfind::UnionFind;
@@ -198,15 +198,15 @@ pub(crate) fn painted_rects(shape: &FlatShape) -> Vec<Rect> {
 ///
 /// Spacing is checked through a [`SpatialIndex`] per layer — each rect
 /// only inspects its `min_space`-neighborhood instead of every other
-/// rect — and the per-layer checks run on the [`par`] worker pool
-/// (`RIOT_THREADS`). The reported violation set is identical to the
-/// retained all-pairs reference ([`naive`], compiled for tests and the
-/// `naive` feature) and to the incremental checker
-/// ([`check_incremental`]); only cross-layer ordering differs (layers
-/// are visited in [`Layer`] order rather than first-appearance order).
-/// Each component pair's representative rect pair is the order-free
-/// minimum by `(measured, a, b)`, so all three paths agree shape for
-/// shape.
+/// rect — one layer after another on the caller's thread, so every
+/// `drc.layer` span stays in the caller's trace. The reported violation
+/// set is identical to the retained all-pairs reference ([`naive`],
+/// compiled for tests and the `naive` feature) and to the incremental
+/// checker ([`check_incremental`]); only cross-layer ordering differs
+/// (layers are visited in [`Layer`] order rather than first-appearance
+/// order). Each component pair's representative rect pair is the
+/// order-free minimum by `(measured, a, b)`, so all three paths agree
+/// shape for shape.
 pub fn check(shapes: &[FlatShape], rules: &RuleSet) -> Vec<Violation> {
     let mut sp = riot_trace::span!("drc.check", shapes = shapes.len() as u64);
     // Width checks per shape.
@@ -245,13 +245,9 @@ pub fn check(shapes: &[FlatShape], rules: &RuleSet) -> Vec<Violation> {
             .or_default()
             .extend(painted_rects(s));
     }
-    let layers: Vec<(Layer, Vec<Rect>)> = by_layer.into_iter().collect();
-    let per_layer = par::map_heavy(&layers, |(layer, rects)| {
-        let space = rules.rule(*layer).expect("filtered above").min_space;
-        layer_spacing_violations(*layer, rects, space)
-    });
-    for v in per_layer {
-        violations.extend(v);
+    for (layer, rects) in by_layer {
+        let space = rules.rule(layer).expect("filtered above").min_space;
+        violations.extend(layer_spacing_violations(layer, &rects, space));
     }
     sp.field("violations", violations.len() as u64);
     violations

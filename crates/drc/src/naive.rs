@@ -5,7 +5,7 @@
 //! indexed and incremental checkers report the same violation set, and
 //! the `riot-bench` spatial benchmark measures the speedup against it.
 //! The only departure from the original code is the shared order-free
-//! representative rule ([`crate::offer_representative`]) — both
+//! representative rule (`crate::offer_representative`) — both
 //! checkers must pick per-component-pair representatives that do not
 //! depend on discovery order, or incremental patching could never
 //! reproduce them.

@@ -1,7 +1,7 @@
 //! An immutable spatial index over rectangles: a bucketed uniform grid.
 //!
 //! The geometry hot paths (DRC spacing, connected-component discovery,
-//! per-band render clipping) all ask the same question — *which
+//! damage-repaint clipping) all ask the same question — *which
 //! rectangles are near this one?* — and until this module existed they
 //! all answered it with an all-pairs scan. [`SpatialIndex`] answers it
 //! in roughly O(k) per query after an O(n log n) build: rectangles are
@@ -11,7 +11,7 @@
 //!
 //! The index is **immutable** once built and contains only plain data
 //! plus atomic counters, so shared references can be queried freely
-//! from worker threads (see [`crate::par`]).
+//! from any thread.
 //!
 //! # Example
 //!

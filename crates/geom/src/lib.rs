@@ -8,11 +8,10 @@
 //! cells were drawn in, and the four box sides used to express *opposed*
 //! connectors.
 //!
-//! Beyond the paper's 500 lines, this crate also hosts the two shared
-//! performance primitives of the reproduction: an immutable bucketed
-//! spatial index over rectangles ([`index`]) and a tiny scoped worker
-//! pool ([`par`]) honoring `RIOT_THREADS`. They live here because every
-//! geometry hot path (DRC, flatten, render) builds on them.
+//! Beyond the paper's 500 lines, this crate also hosts the shared
+//! performance primitive of the reproduction: an immutable bucketed
+//! spatial index over rectangles ([`index`]). It lives here because
+//! every geometry hot path (DRC, render, grid routing) builds on it.
 //!
 //! # Units
 //!

@@ -1,246 +1,18 @@
-//! A tiny zero-dependency scoped worker pool.
+//! The thread-count setting of a worker pool that no longer exists.
 //!
-//! The geometry pipeline (DRC layer checks, flatten instantiation,
-//! per-band rendering) wants data parallelism without pulling `rayon`
-//! into an offline workspace. This module provides just enough: scoped
-//! fork/join over slices using [`std::thread::scope`], honoring the
-//! `RIOT_THREADS` environment variable (or a programmatic override for
-//! benchmarks), and falling back to plain serial loops for small
-//! inputs where thread spawn latency would dominate.
-//!
-//! Threads are spawned per call and joined before returning — there is
-//! no long-lived pool, so no shutdown protocol, no channels, and
-//! worker panics propagate to the caller exactly like serial panics.
-//!
-//! # Choosing an entry point
-//!
-//! * [`map`] — per-item map over a slice; runs serially below
-//!   [`SERIAL_CUTOFF`] items. Use when per-item work is small.
-//! * [`map_heavy`] — same, but parallelizes any input with more than
-//!   one item. Use when each item is a large independent job (a whole
-//!   DRC layer, a band of the framebuffer).
-//! * [`for_each_mut`] — indexed in-place visit of `&mut [T]`, heavy
-//!   semantics. Use when results are written into the items.
+//! Every geometry call (DRC, flatten, render, grid routing) runs on its
+//! caller's thread, so its spans stay in the caller's trace and the
+//! caller — a `riot-serve` session worker, a benchmark sampler — owns
+//! all concurrency. [`set_threads`] is kept only because the
+//! end-to-end benchmark package (`e2ebench`) still calls it; it goes
+//! when that package next changes.
 //!
 //! # Example
 //!
 //! ```
-//! let squares = riot_geom::par::map(&(0..2048).collect::<Vec<i64>>(), |&x| x * x);
-//! assert_eq!(squares[7], 49);
+//! // Accepted and ignored: geometry still runs on this thread.
+//! riot_geom::par::set_threads(4);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Inputs shorter than this are mapped serially by [`map`]: spawning a
-/// thread costs tens of microseconds, which per-item work only
-/// amortizes on larger batches.
-pub const SERIAL_CUTOFF: usize = 2048;
-
-/// Programmatic thread-count override; 0 means "use the environment".
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Forces the worker count, overriding `RIOT_THREADS` (benchmarks use
-/// this to sweep 1/2/4 threads in one process). `0` restores
-/// environment-driven behavior.
-pub fn set_threads(n: usize) {
-    OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// The worker count: the [`set_threads`] override if any, else the
-/// `RIOT_THREADS` environment variable, else the machine parallelism.
-/// Always at least 1; capped at 64.
-pub fn threads() -> usize {
-    let forced = OVERRIDE.load(Ordering::Relaxed);
-    let n = if forced > 0 {
-        forced
-    } else {
-        std::env::var("RIOT_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-    };
-    n.clamp(1, 64)
-}
-
-/// Maps `f` over `items`, preserving order. Serial below
-/// [`SERIAL_CUTOFF`] items or when [`threads`] is 1; otherwise the
-/// slice is split into one contiguous chunk per worker.
-pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if items.len() < SERIAL_CUTOFF {
-        return items.iter().map(f).collect();
-    }
-    map_heavy(items, f)
-}
-
-/// Maps `f` over `items`, preserving order, parallelizing whenever
-/// there is more than one item and more than one worker. The caller
-/// asserts each item is a substantial unit of work.
-pub fn map_heavy<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = threads().min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    riot_trace::registry()
-        .gauge("geom.par.threads")
-        .set(workers as i64);
-    let _sp = riot_trace::span!(
-        "geom.par.map",
-        items = items.len() as u64,
-        workers = workers as u64
-    );
-    let chunk = items.len().div_ceil(workers);
-    let f = &f;
-    let chunks: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for c in chunks {
-        out.extend(c);
-    }
-    out
-}
-
-/// Visits every item of `items` in place, passing its index. Heavy
-/// semantics: parallel whenever both the item count and the worker
-/// count exceed one. Chunks are contiguous, so each worker touches a
-/// disjoint region of the slice.
-pub fn for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = threads().min(items.len());
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    riot_trace::registry()
-        .gauge("geom.par.threads")
-        .set(workers as i64);
-    let chunk = items.len().div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (ci, c) in items.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (j, item) in c.iter_mut().enumerate() {
-                    f(ci * chunk + j, item);
-                }
-            });
-        }
-        // `scope` joins all workers and re-raises any worker panic.
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    /// Serializes tests that touch the global thread override and
-    /// restores it even when the closure panics (the propagation test
-    /// relies on both).
-    fn with_forced_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        struct Reset;
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                set_threads(0);
-            }
-        }
-        let _reset = Reset;
-        set_threads(n);
-        f()
-    }
-
-    #[test]
-    fn map_preserves_order_serial_and_parallel() {
-        let items: Vec<i64> = (0..10_000).collect();
-        let expect: Vec<i64> = items.iter().map(|x| x * 3).collect();
-        for t in [1, 2, 4, 7] {
-            let got = with_forced_threads(t, || map(&items, |&x| x * 3));
-            assert_eq!(got, expect, "threads = {t}");
-        }
-    }
-
-    #[test]
-    fn map_heavy_parallelizes_tiny_inputs() {
-        let counted = AtomicU64::new(0);
-        let got = with_forced_threads(3, || {
-            map_heavy(&[10u64, 20, 30], |&x| {
-                counted.fetch_add(1, Ordering::Relaxed);
-                x + 1
-            })
-        });
-        assert_eq!(got, vec![11, 21, 31]);
-        assert_eq!(counted.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn for_each_mut_writes_in_place() {
-        let mut items = vec![0usize; 5000];
-        with_forced_threads(4, || for_each_mut(&mut items, |i, v| *v = i * 2));
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(*v, i * 2);
-        }
-    }
-
-    #[test]
-    fn empty_inputs_are_fine() {
-        let r: Vec<u8> = map(&[], |x: &u8| *x);
-        assert!(r.is_empty());
-        let mut nothing: [u8; 0] = [];
-        for_each_mut(&mut nothing, |_, _| unreachable!());
-    }
-
-    #[test]
-    fn threads_reads_override() {
-        with_forced_threads(5, || assert_eq!(threads(), 5));
-    }
-
-    #[test]
-    fn threads_is_clamped() {
-        with_forced_threads(1000, || assert_eq!(threads(), 64));
-    }
-
-    #[test]
-    #[should_panic(expected = "worker exploded")]
-    fn worker_panics_propagate() {
-        with_forced_threads(2, || {
-            let items: Vec<u32> = (0..10).collect();
-            let _ = map_heavy(&items, |&x| {
-                if x == 7 {
-                    panic!("worker exploded");
-                }
-                x
-            });
-        });
-    }
-}
+/// Does nothing: geometry calls always run on the caller's thread.
+pub fn set_threads(_: usize) {}

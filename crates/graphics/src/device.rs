@@ -8,7 +8,7 @@
 //! colors to its palette exactly like the terminals did.
 
 use crate::color::Color;
-use crate::display_list::{render_ops_banded, DisplayList, DrawOp};
+use crate::display_list::{DisplayList, DrawOp};
 use crate::framebuffer::Framebuffer;
 use crate::viewport::Viewport;
 use std::collections::HashMap;
@@ -90,10 +90,8 @@ impl Device {
     /// Renders a display list at the device's resolution with its
     /// palette, fitting the whole list on screen.
     ///
-    /// Colors are quantized through a precomputed [`PaletteLut`] and
-    /// the framebuffer is painted in parallel horizontal bands (see
-    /// [`render_ops_banded`]); the output is pixel-identical at any
-    /// thread count.
+    /// Colors are quantized through a precomputed [`PaletteLut`], then
+    /// the quantized list draws through [`DisplayList::render`].
     pub fn render(&self, list: &DisplayList) -> Framebuffer {
         let _sp = riot_trace::span!("gfx.render", ops = list.ops().len() as u64);
         let mut fb = self.framebuffer();
@@ -103,12 +101,12 @@ impl Device {
             riot_trace::registry()
                 .counter("gfx.palette.lut.colors")
                 .add(lut.len() as u64);
-            let quantized: Vec<DrawOp> = list
+            let quantized: DisplayList = list
                 .ops()
                 .iter()
                 .map(|op| op.with_color(lut.quantize(op.color())))
                 .collect();
-            render_ops_banded(&quantized, &vp, &mut fb);
+            quantized.render(&vp, &mut fb);
         }
         fb
     }

@@ -5,7 +5,7 @@ use crate::font;
 use crate::framebuffer::Framebuffer;
 use crate::raster::{self, PixelSink};
 use crate::viewport::Viewport;
-use riot_geom::{par, Point, Rect, SpatialIndex};
+use riot_geom::{Point, Rect, SpatialIndex};
 
 /// One drawing operation in world (centimicron) coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,17 +138,11 @@ impl DisplayList {
         bb
     }
 
-    /// Renders into a framebuffer through a viewport.
+    /// Renders into a framebuffer through a viewport, one op after
+    /// another in list order.
     pub fn render(&self, viewport: &Viewport, fb: &mut Framebuffer) {
-        self.render_into(viewport, fb);
-    }
-
-    /// Renders into any [`PixelSink`] through a viewport — the sink may
-    /// be a whole [`Framebuffer`] or a single horizontal
-    /// [`Band`](crate::raster::Band) of one.
-    pub fn render_into<S: PixelSink>(&self, viewport: &Viewport, sink: &mut S) {
         for op in &self.ops {
-            render_op(op, viewport, sink);
+            render_op(op, viewport, fb);
         }
     }
 }
@@ -185,7 +179,7 @@ fn render_op(op: &DrawOp, viewport: &Viewport, sink: &mut impl PixelSink) {
 
 /// A conservative **screen-space** bounding box of everything an op can
 /// paint (a one-pixel safety margin covers rounding at the edges).
-/// Used to clip ops against render bands.
+/// Used to find the ops a dirty rect can touch.
 fn op_screen_bbox(op: &DrawOp, viewport: &Viewport) -> Rect {
     let bbox = match op {
         DrawOp::Line { from, to, .. } => {
@@ -216,75 +210,38 @@ fn op_screen_bbox(op: &DrawOp, viewport: &Viewport) -> Rect {
     bbox.inflated(1)
 }
 
-/// Renders `ops` into the framebuffer in parallel horizontal bands.
-///
-/// A [`SpatialIndex`] over the ops' screen bounding boxes clips each
-/// band to the ops that can actually touch it; every band paints its
-/// candidates in ascending op order and owns a disjoint row range, so
-/// the result is pixel-identical to the sequential
-/// [`DisplayList::render`] path at any thread count. Emits one
-/// `gfx.render.band` span per band (also when running serially).
-pub fn render_ops_banded(ops: &[DrawOp], viewport: &Viewport, fb: &mut Framebuffer) {
-    if ops.is_empty() {
-        return;
-    }
-    let width = fb.width();
-    let height = fb.height();
-    let boxes: Vec<Rect> = ops.iter().map(|op| op_screen_bbox(op, viewport)).collect();
-    let index = SpatialIndex::build(&boxes);
-    let band_count = par::threads().clamp(1, height);
-    let mut bands = fb.bands_mut(height.div_ceil(band_count));
-    riot_trace::registry()
-        .counter("gfx.render.bands")
-        .add(bands.len() as u64);
-    par::for_each_mut(&mut bands, |_, band| {
-        let candidates: Vec<usize> = index
-            .query(Rect::new(0, band.y_min(), width as i64 - 1, band.y_max()))
-            .collect();
-        let _sp = riot_trace::span!(
-            "gfx.render.band",
-            y0 = band.y_start() as u64,
-            rows = band.rows() as u64,
-            ops = candidates.len() as u64,
-        );
-        for i in candidates {
-            render_op(&ops[i], viewport, band);
-        }
-    });
-}
-
-/// A pixel sink restricted to one screen-space clip rectangle: writes
+/// A framebuffer restricted to one screen-space clip rectangle: writes
 /// outside the rect are dropped, everything else passes through to the
-/// wrapped sink (which applies its own row clipping). This is what lets
-/// a damage repaint re-render an op that *overhangs* the dirty region
-/// without disturbing the retained pixels around it.
-struct ClipSink<'s, S: PixelSink> {
-    inner: &'s mut S,
+/// framebuffer (which clips to the screen). This is what lets a damage
+/// repaint re-render an op that *overhangs* the dirty region without
+/// disturbing the retained pixels around it.
+struct ClipSink<'s> {
+    fb: &'s mut Framebuffer,
     clip: Rect,
 }
 
-impl<S: PixelSink> PixelSink for ClipSink<'_, S> {
+impl PixelSink for ClipSink<'_> {
     fn width(&self) -> usize {
-        self.inner.width()
+        self.fb.width()
     }
 
     fn height(&self) -> usize {
-        self.inner.height()
+        self.fb.height()
     }
 
     fn y_min(&self) -> i64 {
-        self.inner.y_min().max(self.clip.y0)
+        self.clip.y0
     }
 
     fn y_max(&self) -> i64 {
-        self.inner.y_max().min(self.clip.y1)
+        self.clip.y1
     }
 
     fn set(&mut self, x: i64, y: i64, color: Color) {
         if x < self.clip.x0 || x > self.clip.x1 || y < self.clip.y0 || y > self.clip.y1 {
             return;
         }
-        self.inner.set(x, y, color);
+        self.fb.set(x, y, color);
     }
 }
 
@@ -417,12 +374,10 @@ impl RenderCache {
     /// clipped to the rect — so under the damage contract (every
     /// changed op's old and new world bounding box is covered by
     /// `dirty_world`) the result is pixel-identical to a full render of
-    /// `ops`. The band partition is [`render_ops_banded`]'s, so the
-    /// repaint parallelizes without overlapping writes.
+    /// `ops`.
     ///
-    /// Returns the number of bands touched (0 when `dirty_world` is
-    /// empty or entirely off-screen); also counted in the
-    /// `gfx.render.damage.bands` metric.
+    /// Returns the number of dirty rects repainted (0 when
+    /// `dirty_world` is empty or entirely off-screen).
     pub fn render(&self, ops: &[DrawOp], fb: &mut Framebuffer, dirty_world: &[Rect]) -> usize {
         assert_eq!(
             ops.len(),
@@ -451,46 +406,18 @@ impl RenderCache {
             return 0; // all damage is off-screen
         }
 
-        let cands: Vec<Vec<usize>> = dirty_screen.iter().map(|d| self.candidates(*d)).collect();
-        let band_count = par::threads().clamp(1, height);
-        let mut bands: Vec<_> = fb
-            .bands_mut(height.div_ceil(band_count))
-            .into_iter()
-            .filter(|band| {
-                dirty_screen
-                    .iter()
-                    .any(|d| d.y0 <= band.y_max() && d.y1 >= band.y_min())
-            })
-            .collect();
-        riot_trace::registry()
-            .counter("gfx.render.damage.bands")
-            .add(bands.len() as u64);
-        par::for_each_mut(&mut bands, |_, band| {
-            // Overlapping dirty rects recompose the shared pixels more
-            // than once — idempotent, since every pass alone produces
-            // the final composite inside its own rect.
-            for (d, cand) in dirty_screen.iter().zip(&cands) {
-                if d.y0 > band.y_max() || d.y1 < band.y_min() {
-                    continue;
-                }
-                let _sp = riot_trace::span!(
-                    "gfx.render.band",
-                    y0 = band.y_start() as u64,
-                    rows = band.rows() as u64,
-                    ops = cand.len() as u64,
-                );
-                let mut clip = ClipSink {
-                    inner: band,
-                    clip: *d,
-                };
-                raster::fill_rect(&mut clip, d.x0, d.y0, d.x1, d.y1, Color::BLACK);
-                for &i in cand {
-                    render_op(&ops[i], viewport, &mut clip);
-                }
+        // Overlapping dirty rects recompose the shared pixels more than
+        // once — idempotent, since every pass alone produces the final
+        // composite inside its own rect.
+        for d in &dirty_screen {
+            let mut clip = ClipSink { fb, clip: *d };
+            raster::fill_rect(&mut clip, d.x0, d.y0, d.x1, d.y1, Color::BLACK);
+            for i in self.candidates(*d) {
+                render_op(&ops[i], viewport, &mut clip);
             }
-        });
-        sp.field("bands", bands.len() as u64);
-        bands.len()
+        }
+        sp.field("rects", dirty_screen.len() as u64);
+        dirty_screen.len()
     }
 }
 
@@ -504,8 +431,8 @@ impl RenderCache {
 /// former pixels with [`op_damage_bbox`] instead of its world bounding
 /// box — or hold a [`RenderCache`], whose pad remembers removed ops.
 ///
-/// Returns the number of bands touched (0 when `dirty_world` is empty
-/// or entirely off-screen).
+/// Returns the number of dirty rects repainted (0 when `dirty_world` is
+/// empty or entirely off-screen).
 pub fn render_ops_damaged(
     ops: &[DrawOp],
     viewport: &Viewport,
@@ -535,6 +462,11 @@ impl FromIterator<DrawOp> for DisplayList {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A full render of `ops`, the reference every repaint must match.
+    fn render_list(ops: &[DrawOp], vp: &Viewport, fb: &mut Framebuffer) {
+        ops.iter().cloned().collect::<DisplayList>().render(vp, fb);
+    }
 
     fn sample() -> DisplayList {
         let mut dl = DisplayList::new();
@@ -625,7 +557,7 @@ mod tests {
             .collect();
         let new = Rect::from_center(Point::new(200, 400), 200, 200);
         let repainted = render_ops_damaged(&ops, &vp, &mut retained, &[old, new]);
-        assert!(repainted > 0);
+        assert_eq!(repainted, 2, "both dirty rects are on screen");
 
         let mut full = Framebuffer::new(96, 96);
         let fresh: DisplayList = ops.iter().cloned().collect();
@@ -644,7 +576,7 @@ mod tests {
         let mut ops: Vec<DrawOp> = dl.ops().to_vec();
         let mut cache = RenderCache::build(&ops, &vp);
         let mut retained = Framebuffer::new(96, 96);
-        render_ops_banded(&ops, &vp, &mut retained);
+        render_list(&ops, &vp, &mut retained);
 
         // Edit op 0 in place many times; sync only that index.
         for step in 0..3 {
@@ -659,7 +591,7 @@ mod tests {
             let dirty = [Rect::new(0, 0, 1000, 500)];
             assert!(cache.render(&ops, &mut retained, &dirty) > 0);
             let mut full = Framebuffer::new(96, 96);
-            render_ops_banded(&ops, &vp, &mut full);
+            render_list(&ops, &vp, &mut full);
             assert_eq!(retained, full, "step {step}");
         }
 
@@ -673,34 +605,7 @@ mod tests {
         let dirty = [Rect::from_center(Point::new(700, 100), 200, 200)];
         assert!(cache.render(&ops, &mut retained, &dirty) > 0);
         let mut full = Framebuffer::new(96, 96);
-        render_ops_banded(&ops, &vp, &mut full);
+        render_list(&ops, &vp, &mut full);
         assert_eq!(retained, full, "after append + rebuild");
-    }
-
-    #[test]
-    fn banded_render_matches_sequential_at_any_thread_count() {
-        let mut dl = sample();
-        // Add overlapping ops so draw order matters across bands.
-        for i in 0..24 {
-            dl.push(DrawOp::FillRect {
-                rect: Rect::new(i * 37, i * 23, i * 37 + 400, i * 23 + 300),
-                color: Color::new((i * 11) as u8, 128, (255 - i * 9) as u8),
-            });
-            dl.push(DrawOp::Line {
-                from: Point::new(0, i * 40),
-                to: Point::new(1000, 500 - i * 17),
-                color: Color::WHITE,
-            });
-        }
-        let vp = Viewport::fit(dl.bounding_box().unwrap(), 96, 96);
-        let mut reference = Framebuffer::new(96, 96);
-        dl.render(&vp, &mut reference);
-        for t in [1usize, 2, 3, 8] {
-            par::set_threads(t);
-            let mut fb = Framebuffer::new(96, 96);
-            render_ops_banded(dl.ops(), &vp, &mut fb);
-            par::set_threads(0);
-            assert_eq!(fb, reference, "threads = {t}");
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! The in-memory raster standing in for the color terminals.
 
 use crate::color::Color;
-use crate::raster::{self, Band, PixelSink};
+use crate::raster::{self, PixelSink};
 
 /// A simple RGB framebuffer with the primitive drawing operations the
 /// Riot display needed: lines, outlined and filled rectangles, the
@@ -61,24 +61,6 @@ impl Framebuffer {
             return;
         }
         self.pixels[y as usize * self.width + x as usize] = color;
-    }
-
-    /// Splits the framebuffer into horizontal [`Band`]s of at most
-    /// `band_rows` rows each (the last band may be shorter). The bands
-    /// partition the pixel storage, so they can be painted from
-    /// different threads without overlapping writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `band_rows` is zero.
-    pub fn bands_mut(&mut self, band_rows: usize) -> Vec<Band<'_>> {
-        assert!(band_rows > 0, "bands must hold at least one row");
-        let (width, height) = (self.width, self.height);
-        self.pixels
-            .chunks_mut(band_rows * width)
-            .enumerate()
-            .map(|(i, rows)| Band::new(rows, width, height, i * band_rows))
-            .collect()
     }
 
     /// Draws a line with Bresenham's algorithm (any slope).

@@ -51,9 +51,7 @@ pub mod viewport;
 
 pub use color::Color;
 pub use device::PaletteLut;
-pub use display_list::{
-    op_damage_bbox, render_ops_banded, render_ops_damaged, DisplayList, DrawOp, RenderCache,
-};
+pub use display_list::{op_damage_bbox, render_ops_damaged, DisplayList, DrawOp, RenderCache};
 pub use framebuffer::Framebuffer;
-pub use raster::{Band, PixelSink};
+pub use raster::PixelSink;
 pub use viewport::Viewport;

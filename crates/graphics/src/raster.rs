@@ -1,12 +1,10 @@
 //! Device-independent raster primitives over any pixel sink.
 //!
 //! The drawing algorithms (Bresenham lines, rect fills, connector
-//! crosses, bitmap text) used to live as inherent methods on
-//! [`Framebuffer`](crate::Framebuffer). They are now free functions
-//! over the [`PixelSink`] trait so the same code can paint either a
-//! whole framebuffer or a [`Band`] — a horizontal slice of one — which
-//! is what lets [`crate::display_list::render_ops_banded`] rasterize
-//! bands in parallel without overlapping writes.
+//! crosses, bitmap text) are free functions over the [`PixelSink`]
+//! trait, so the same code paints either a whole
+//! [`Framebuffer`](crate::Framebuffer) or a clipped window of one — the
+//! dirty rect a [`RenderCache`](crate::RenderCache) repaint recomposes.
 
 use crate::color::Color;
 use crate::font;
@@ -14,9 +12,9 @@ use crate::font;
 /// Anything pixels can be written into.
 ///
 /// Coordinates are always **full-screen** coordinates `(x right, y up)`;
-/// a sink may own only a sub-range of rows (see [`Band`]) and silently
-/// clips writes outside it. This keeps the primitives oblivious to how
-/// the target storage is partitioned.
+/// a sink may own only a sub-range of rows (a repaint's clip window)
+/// and silently clips writes outside it. This keeps the primitives
+/// oblivious to how much of the target they may touch.
 pub trait PixelSink {
     /// Full screen width in pixels.
     fn width(&self) -> usize;
@@ -69,8 +67,8 @@ pub fn draw_rect(sink: &mut impl PixelSink, x0: i64, y0: i64, x1: i64, y1: i64, 
 
 /// Fills an axis-aligned rectangle (inclusive bounds), clipped to the
 /// sink's extent. The row loop intersects with the sink's owned y-range
-/// up front, so filling through a narrow [`Band`] costs only the rows
-/// the band actually owns.
+/// up front, so filling through a narrow clip window costs only the
+/// rows the window owns.
 pub fn fill_rect(sink: &mut impl PixelSink, x0: i64, y0: i64, x1: i64, y1: i64, color: Color) {
     let (x0, x1) = (x0.min(x1), x0.max(x1));
     let (y0, y1) = (y0.min(y1), y0.max(y1));
@@ -110,152 +108,5 @@ pub fn draw_text(sink: &mut impl PixelSink, x: i64, y: i64, text: &str, color: C
             }
         }
         cx += font::ADVANCE as i64;
-    }
-}
-
-/// A mutable view over a contiguous run of framebuffer rows.
-///
-/// Bands partition the framebuffer: each pixel belongs to exactly one
-/// band, so disjoint bands can be painted from different threads with
-/// no synchronization. Writes outside the band's rows are clipped by
-/// [`PixelSink::set`], which is what makes rendering the *same* draw
-/// op into several adjacent bands deterministic — each band keeps only
-/// the pixels it owns.
-#[derive(Debug)]
-pub struct Band<'a> {
-    rows: &'a mut [Color],
-    width: usize,
-    full_height: usize,
-    y_start: usize,
-}
-
-impl<'a> Band<'a> {
-    pub(crate) fn new(
-        rows: &'a mut [Color],
-        width: usize,
-        full_height: usize,
-        y_start: usize,
-    ) -> Self {
-        debug_assert!(
-            rows.len().is_multiple_of(width),
-            "band must hold whole rows"
-        );
-        Band {
-            rows,
-            width,
-            full_height,
-            y_start,
-        }
-    }
-
-    /// Number of rows this band owns.
-    pub fn rows(&self) -> usize {
-        self.rows.len() / self.width
-    }
-
-    /// Full-screen y coordinate of the band's first row.
-    pub fn y_start(&self) -> usize {
-        self.y_start
-    }
-
-    /// Fills every pixel the band owns with one color — the erase step
-    /// of a dirty-band repaint.
-    pub fn clear(&mut self, color: Color) {
-        self.rows.fill(color);
-    }
-}
-
-impl PixelSink for Band<'_> {
-    fn width(&self) -> usize {
-        self.width
-    }
-
-    fn height(&self) -> usize {
-        self.full_height
-    }
-
-    fn y_min(&self) -> i64 {
-        self.y_start as i64
-    }
-
-    fn y_max(&self) -> i64 {
-        (self.y_start + self.rows() - 1) as i64
-    }
-
-    fn set(&mut self, x: i64, y: i64, color: Color) {
-        if x < 0 || x >= self.width as i64 || y < self.y_min() || y > self.y_max() {
-            return;
-        }
-        self.rows[(y as usize - self.y_start) * self.width + x as usize] = color;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::framebuffer::Framebuffer;
-
-    /// Every primitive drawn band-by-band must equal the same primitive
-    /// drawn straight into a whole framebuffer.
-    #[test]
-    fn banded_drawing_matches_whole_framebuffer() {
-        let draw = |sink: &mut dyn FnMut(&str, i64, i64, i64, i64)| {
-            sink("line", 1, 1, 30, 25);
-            sink("rect", 4, 3, 20, 28);
-            sink("fill", 8, 10, 26, 22);
-            sink("cross", 16, 16, 6, 0);
-            sink("text", 2, 24, 0, 0);
-        };
-
-        let mut reference = Framebuffer::new(32, 32);
-        {
-            let fb = &mut reference;
-            draw(&mut |kind, a, b, c, d| match kind {
-                "line" => fb.draw_line(a, b, c, d, Color::WHITE),
-                "rect" => fb.draw_rect(a, b, c, d, Color::new(200, 0, 0)),
-                "fill" => fb.fill_rect(a, b, c, d, Color::new(0, 0, 200)),
-                "cross" => fb.draw_cross(a, b, c, Color::new(0, 200, 0)),
-                _ => fb.draw_text(a, b, "RIOT", Color::WHITE),
-            });
-        }
-
-        let mut banded = Framebuffer::new(32, 32);
-        for band in &mut banded.bands_mut(5) {
-            draw(&mut |kind, a, b, c, d| match kind {
-                "line" => draw_line(band, a, b, c, d, Color::WHITE),
-                "rect" => draw_rect(band, a, b, c, d, Color::new(200, 0, 0)),
-                "fill" => fill_rect(band, a, b, c, d, Color::new(0, 0, 200)),
-                "cross" => draw_cross(band, a, b, c, Color::new(0, 200, 0)),
-                _ => draw_text(band, a, b, "RIOT", Color::WHITE),
-            });
-        }
-
-        assert_eq!(banded, reference);
-    }
-
-    #[test]
-    fn bands_partition_the_screen() {
-        let mut fb = Framebuffer::new(8, 21);
-        let bands = fb.bands_mut(8);
-        assert_eq!(bands.len(), 3);
-        assert_eq!(
-            bands.iter().map(|b| b.rows()).collect::<Vec<_>>(),
-            vec![8, 8, 5]
-        );
-        assert_eq!(bands[1].y_start(), 8);
-        assert_eq!(bands[2].y_max(), 20);
-    }
-
-    #[test]
-    fn band_clips_rows_it_does_not_own() {
-        let mut fb = Framebuffer::new(4, 8);
-        {
-            let mut bands = fb.bands_mut(4);
-            // Paint everything into the *second* band only.
-            fill_rect(&mut bands[1], 0, 0, 3, 7, Color::WHITE);
-        }
-        assert_eq!(fb.lit_pixels(), 16, "only the band's 4 rows light up");
-        assert_eq!(fb.get(0, 0), Some(Color::BLACK));
-        assert_eq!(fb.get(0, 4), Some(Color::WHITE));
     }
 }

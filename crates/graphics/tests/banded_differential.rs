@@ -1,13 +1,11 @@
-//! Differential property tests: the band-parallel rasterizer and the
-//! damage-driven partial repaint must be pixel-identical to the
-//! sequential display-list renderer on random op soups, at every
-//! thread count.
+//! Differential property test: the damage-driven partial repaint must
+//! be pixel-identical to a full display-list render on random op soups.
 
 use proptest::prelude::*;
-use riot_geom::{par, Point, Rect};
+use riot_geom::{Point, Rect};
 use riot_graphics::{
-    op_damage_bbox, render_ops_banded, render_ops_damaged, Color, DisplayList, DrawOp, Framebuffer,
-    RenderCache, Viewport,
+    op_damage_bbox, render_ops_damaged, Color, DisplayList, DrawOp, Framebuffer, RenderCache,
+    Viewport,
 };
 
 fn arb_ops() -> impl Strategy<Value = Vec<DrawOp>> {
@@ -82,23 +80,18 @@ fn op_translated(op: &DrawOp, d: Point) -> DrawOp {
     op
 }
 
+/// A full render of `ops` on a fresh 120×80 framebuffer.
+fn full_render(ops: &[DrawOp], vp: &Viewport) -> Framebuffer {
+    let mut fb = Framebuffer::new(120, 80);
+    ops.iter()
+        .cloned()
+        .collect::<DisplayList>()
+        .render(vp, &mut fb);
+    fb
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn banded_equals_sequential(ops in arb_ops()) {
-        let list: DisplayList = ops.iter().cloned().collect();
-        let vp = Viewport::fit(list.bounding_box().unwrap(), 120, 80);
-        let mut reference = Framebuffer::new(120, 80);
-        list.render(&vp, &mut reference);
-        for t in [1usize, 2, 4] {
-            par::set_threads(t);
-            let mut fb = Framebuffer::new(120, 80);
-            render_ops_banded(&ops, &vp, &mut fb);
-            par::set_threads(0);
-            prop_assert_eq!(&fb, &reference, "threads = {}", t);
-        }
-    }
 
     /// Damage-driven repaint is pixel-identical to a full render after
     /// random edit sequences (moves, recolors, deletions, additions),
@@ -109,14 +102,11 @@ proptest! {
         ops in arb_ops(),
         edit_seed in 1u64..1_000_000,
         edits in 1usize..5,
-        threads in 1usize..5,
     ) {
         let mut ops = ops;
         let list: DisplayList = ops.iter().cloned().collect();
         let vp = Viewport::fit(list.bounding_box().unwrap(), 120, 80);
-        par::set_threads(threads);
-        let mut retained = Framebuffer::new(120, 80);
-        render_ops_banded(&ops, &vp, &mut retained);
+        let mut retained = full_render(&ops, &vp);
         // A second retained framebuffer driven through the long-lived
         // cache, synced per edit instead of rebuilt per repaint.
         let mut cache = RenderCache::build(&ops, &vp);
@@ -173,11 +163,9 @@ proptest! {
             render_ops_damaged(&ops, &vp, &mut retained, &dirty);
             cache.sync(&ops, &vp, &changed);
             cache.render(&ops, &mut cached_fb, &dirty);
-            let mut full = Framebuffer::new(120, 80);
-            render_ops_banded(&ops, &vp, &mut full);
-            prop_assert_eq!(&retained, &full, "one-shot, threads = {}", threads);
-            prop_assert_eq!(&cached_fb, &full, "retained cache, threads = {}", threads);
+            let full = full_render(&ops, &vp);
+            prop_assert_eq!(&retained, &full, "one-shot");
+            prop_assert_eq!(&cached_fb, &full, "retained cache");
         }
-        par::set_threads(0);
     }
 }

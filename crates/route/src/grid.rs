@@ -13,12 +13,11 @@
 //! anything in the channel.
 //!
 //! Multi-net problems route with a two-phase **plan/commit** scheme:
-//! every net first solves concurrently against the frozen obstacle-only
-//! grid (via [`riot_geom::par::map_heavy`]), then commits sequentially
-//! in net order — a commit that would violate spacing against an
-//! earlier net's geometry is re-routed alone against the obstacles plus
-//! everything already committed. Plans are independent and commits are
-//! ordered, so the result is identical at any worker-thread count.
+//! every net first plans against the frozen obstacle-only grid, then
+//! the plans commit in net order — a commit that would violate spacing
+//! against an earlier net's geometry is re-routed alone against the
+//! obstacles plus everything already committed. A plan never sees
+//! another net, so no net's first attempt depends on the nets before it.
 //!
 //! The grid is **non-uniform**: node columns sit every
 //! [`crate::RouterOptions::grid_pitch`] lambda *plus* a dedicated
@@ -34,7 +33,7 @@ use crate::error::RouteError;
 use crate::river::{check_edge_spacing, spacing_lambda};
 use crate::straight::unique_pin_name;
 use crate::terminal::RouteProblem;
-use riot_geom::{index::SpatialIndex, par, Layer, Path, Point, Rect};
+use riot_geom::{index::SpatialIndex, Layer, Path, Point, Rect};
 use riot_sticks::{Contact, ContactKind, Pin, SticksCell, SymWire};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,8 +60,8 @@ const MAX_RESTARTS: u64 = 8;
 const X_SLACK: i64 = 8;
 /// Half-extent of the x-window a net searches first, in lambda beyond
 /// its own terminal span. Keeps per-net A* state small (and therefore
-/// cache-resident under parallel planning); a net that cannot route
-/// inside its window deterministically retries over the full channel.
+/// cache-resident); a net that cannot route inside its window
+/// deterministically retries over the full channel.
 const X_WINDOW: i64 = 32;
 
 /// Minimum legal wire width on a layer in lambda (Mead & Conway: 3λ
@@ -181,7 +180,7 @@ pub struct GridStats {
     /// Single-net re-routes run to resolve those conflicts.
     pub retries: u64,
     /// Commit passes restarted with a failed net promoted to the front
-    /// of the commit order (see [`MAX_RESTARTS`]).
+    /// of the commit order (see `MAX_RESTARTS`).
     pub restarts: u64,
 }
 
@@ -191,7 +190,6 @@ pub struct GridRoute {
     wires: Vec<GridWire>,
     height: i64,
     stats: GridStats,
-    plan_expansions: Vec<u64>,
 }
 
 impl GridRoute {
@@ -208,16 +206,6 @@ impl GridRoute {
     /// Solver counters (expansions, vias, conflicts, retries).
     pub fn stats(&self) -> GridStats {
         self.stats
-    }
-
-    /// Per-net A* expansion counts from the concurrent plan phase
-    /// (before any conflict re-route), in net order. Identical at any
-    /// worker-thread count, so benchmarks use them as a deterministic
-    /// work model: total work over the heaviest worker chunk is the
-    /// parallelism the plan phase exposes, independent of how many
-    /// cores the measuring host happens to have.
-    pub fn plan_expansions(&self) -> &[u64] {
-        &self.plan_expansions
     }
 
     /// Builds the Sticks route cell for this route: wires per segment,
@@ -556,9 +544,7 @@ fn build_grid(
     // Every (layer, width) combination any net can occupy, plus the
     // `(layer, 4)` keys the via-pad checks read (a 4λ pad's half-extent
     // is 2λ = 4 half-lambdas, the same clearance profile as a width-4
-    // wire). Rasterization is the serial prologue to the parallel plan
-    // phase, so the handful of independent masks build on the worker
-    // pool too.
+    // wire).
     let mut keys: Vec<(usize, i64)> = Vec::new();
     for li in 0..Layer::ROUTABLE.len() {
         keys.push((li, 4));
@@ -572,11 +558,13 @@ fn build_grid(
             }
         }
     }
-    let built = par::map_heavy(&keys, |&(li, w)| {
-        let s2 = 2 * spacing_lambda(layer_of(li));
-        rasterize(&indexes[li], &xs, &ys, w, s2)
-    });
-    let masks = keys.into_iter().zip(built).collect();
+    let masks = keys
+        .into_iter()
+        .map(|(li, w)| {
+            let s2 = 2 * spacing_lambda(layer_of(li));
+            ((li, w), rasterize(&indexes[li], &xs, &ys, w, s2))
+        })
+        .collect();
 
     // Terminal keep-outs: reserve a vertical escape column per terminal
     // so no net can seal another's terminal against a channel edge. The
@@ -994,15 +982,13 @@ fn solve_at(
         })
         .collect();
 
-    // Plan: every net solves concurrently against the frozen
-    // obstacle-only grid. Results are positional, so the outcome is
-    // identical at any thread count.
-    let plans = par::map_heavy(&specs, |spec| route_net(&grid, spec));
+    // Plan: every net solves alone against the frozen obstacle-only
+    // grid.
+    let mut stats = GridStats::default();
     let mut paths: Vec<Vec<(usize, Point)>> = Vec::with_capacity(specs.len());
-    let mut plan_expansions: Vec<u64> = Vec::with_capacity(specs.len());
-    for plan in plans {
-        let (path, expansions) = plan?;
-        plan_expansions.push(expansions);
+    for spec in &specs {
+        let (path, expansions) = route_net(&grid, spec)?;
+        stats.expansions += expansions;
         paths.push(path);
     }
 
@@ -1014,10 +1000,6 @@ fn solve_at(
     // so it routes unconstrained and the earlier nets' retries route
     // around it instead. Promotion is deterministic and bounded by
     // [`MAX_RESTARTS`].
-    let mut stats = GridStats {
-        expansions: plan_expansions.iter().sum(),
-        ..GridStats::default()
-    };
     let mut promoted: Vec<usize> = Vec::new();
     let mut first_grid = Some(grid);
     loop {
@@ -1035,7 +1017,6 @@ fn solve_at(
                     wires,
                     height: height.max(1),
                     stats,
-                    plan_expansions,
                 });
             }
             Err(RouteError::Unroutable { net }) if stats.restarts < MAX_RESTARTS => {
@@ -1235,25 +1216,6 @@ mod tests {
             grid_route(&close, &[]),
             Err(RouteError::TerminalsTooClose { .. })
         ));
-    }
-
-    #[test]
-    fn deterministic_across_thread_counts() {
-        let bottom: Vec<Terminal> = (0..6)
-            .map(|i| t(&format!("n{i}"), i * 8, Layer::Poly))
-            .collect();
-        let top: Vec<Terminal> = (0..6)
-            .map(|i| t(&format!("n{i}"), (5 - i) * 8, Layer::Poly))
-            .collect();
-        let p = RouteProblem::new(bottom, top);
-        let obstacles = vec![(Layer::Poly, Rect::new(10, 20, 18, 26))];
-        par::set_threads(1);
-        let serial = grid_route(&p, &obstacles).unwrap();
-        par::set_threads(4);
-        let parallel = grid_route(&p, &obstacles).unwrap();
-        par::set_threads(0);
-        assert_eq!(serial, parallel);
-        verify_clearance(&serial, &obstacles).unwrap();
     }
 
     #[test]

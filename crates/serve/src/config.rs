@@ -36,9 +36,8 @@ pub fn standard_library() -> Library {
 
 /// Resolves the worker count: an explicit request if positive, else the
 /// `RIOT_SERVE_THREADS` environment variable, else the machine
-/// parallelism. Always at least 1; capped at 64. Mirrors
-/// `riot_geom::par::threads` (which answers to `RIOT_THREADS`) so both
-/// knobs behave identically.
+/// parallelism. Always at least 1; capped at 64. Every geometry call a
+/// command makes runs on the worker that applies it.
 pub fn resolve_threads(requested: usize) -> usize {
     let n = if requested > 0 {
         requested

@@ -4,10 +4,10 @@
 //! # Sharding
 //!
 //! Sessions are sharded by a stable hash of their name across
-//! `threads` workers (resolved like `riot_geom::par` — explicit config
-//! beats `RIOT_SERVE_THREADS` beats machine parallelism). One session
-//! always lands on one worker, so its commands — and therefore its
-//! replies — are totally ordered without any per-session locking.
+//! `threads` workers (explicit config beats `RIOT_SERVE_THREADS` beats
+//! machine parallelism; see [`crate::config::resolve_threads`]). One
+//! session always lands on one worker, so its commands — and therefore
+//! its replies — are totally ordered without any per-session locking.
 //!
 //! # Backpressure
 //!

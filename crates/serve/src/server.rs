@@ -25,7 +25,7 @@
 //! # Shutdown
 //!
 //! `shutdown` (the wire verb) or [`ServerHandle::shutdown`] calls
-//! [`request_stop`]: the stop flag is set and the wakeup pipe kicked,
+//! `request_stop`: the stop flag is set and the wakeup pipe kicked,
 //! so the poll loop wakes **immediately** (no tick worst-case), drains
 //! every connection's queued replies and exits once the last one
 //! closes. Nothing is dropped: replies already queued still go out

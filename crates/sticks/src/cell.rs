@@ -103,9 +103,9 @@ pub struct Contact {
 /// A symbolic (Sticks) cell on the lambda grid.
 ///
 /// Use [`SticksCell::new`] then the `push_*` methods, or parse the
-/// textual format with [`crate::parse`]. [`SticksCell::validate`] checks
-/// the invariants Riot relies on (pins on the boundary, routable pin
-/// layers, geometry inside the bbox).
+/// textual format with [`crate::parse`](fn@crate::parse).
+/// [`SticksCell::validate`] checks the invariants Riot relies on (pins
+/// on the boundary, routable pin layers, geometry inside the bbox).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SticksCell {
     name: String,

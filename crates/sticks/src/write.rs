@@ -6,8 +6,8 @@ use std::fmt::Write as _;
 
 /// Renders a [`SticksCell`] as its textual form.
 ///
-/// The output is accepted by [`crate::parse`] and round-trips to an
-/// equal cell (property tested).
+/// The output is accepted by [`crate::parse`](fn@crate::parse) and
+/// round-trips to an equal cell (property tested).
 pub fn to_text(cell: &SticksCell) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "sticks {}", cell.name());

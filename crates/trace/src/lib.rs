@@ -4,8 +4,9 @@
 //! allows" — a claim that needs *measurement*, not vibes. This crate
 //! provides the three pieces every later perf PR builds on:
 //!
-//! * **Spans** ([`span`], [`span!`]) — guard-style timed regions with
-//!   optional `u64` key/value fields, nested via a per-thread stack.
+//! * **Spans** ([`span`](fn@span), [`span!`]) — guard-style timed
+//!   regions with optional `u64` key/value fields, nested via a
+//!   per-thread stack.
 //!   Finished spans land in a global ring-buffer [`Recorder`] and feed
 //!   a per-span-name latency [`Histogram`] automatically.
 //! * **Metrics registry** ([`registry`]) — named monotonic

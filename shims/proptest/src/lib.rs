@@ -505,7 +505,7 @@ pub mod prop {
         use crate::Strategy;
         use std::ops::Range;
 
-        /// Size specification for [`vec`]: an exact count or a range.
+        /// Size specification for [`vec`](fn@vec): an exact count or a range.
         #[derive(Debug, Clone)]
         pub struct SizeRange {
             lo: usize,
@@ -535,7 +535,7 @@ pub mod prop {
             }
         }
 
-        /// See [`vec`].
+        /// See [`vec`](fn@vec).
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

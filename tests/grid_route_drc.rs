@@ -1,12 +1,11 @@
 //! Differential properties of the grid maze router, checked through
 //! the *other* subsystems: every route it emits must pass the real
-//! mask-level DRC (`riot::drc`), clear every obstacle it was given
-//! (`grid::verify_clearance`), and come out bit-identical at any
-//! planner thread count.
+//! mask-level DRC (`riot::drc`) and clear every obstacle it was given
+//! (`grid::verify_clearance`).
 
 use proptest::prelude::*;
 use riot::drc::RuleSet;
-use riot::geom::{par, Layer, Rect};
+use riot::geom::{Layer, Rect};
 use riot::route::{grid, grid_route, river_route, GridRoute, RouteProblem, Terminal};
 
 /// Layer-appropriate terminal width (metal's minimum is 3λ).
@@ -60,20 +59,14 @@ fn drc_violations(route: &GridRoute) -> Vec<riot::drc::Violation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Obstacle-free channels always route, the result is DRC-clean at
-    /// mask level, and 1-thread and 4-thread planning agree exactly.
+    /// Obstacle-free channels always route and the result is DRC-clean
+    /// at mask level.
     #[test]
     fn random_channels_route_drc_clean_and_thread_invariant(
         nets in prop::collection::vec((0i64..5, 0u8..3, 0u8..3, -2i64..3), 2..10)
     ) {
         let problem = channel(&nets);
-        par::set_threads(1);
-        let serial = grid_route(&problem, &[]);
-        par::set_threads(4);
-        let parallel = grid_route(&problem, &[]);
-        par::set_threads(0);
-        let route = serial.expect("obstacle-free channel routes");
-        prop_assert_eq!(&route, &parallel.expect("parallel solve agrees"));
+        let route = grid_route(&problem, &[]).expect("obstacle-free channel routes");
         let v = drc_violations(&route);
         prop_assert!(v.is_empty(), "grid route has DRC violations: {v:?}");
     }

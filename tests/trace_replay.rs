@@ -149,10 +149,14 @@ fn replay_emits_a_span_per_journaled_command_kind() {
         assert!(span_names.contains(&name), "no span record named {name}");
     }
 
-    // The geometry pipeline (flatten → DRC → banded render) emits its
-    // own spans: the memoized flattener, the indexed checker, and one
-    // span per framebuffer band (present even in a serial render).
+    // The geometry pipeline (flatten → DRC → device render) runs on its
+    // caller's thread, so every span it emits lands in the caller's
+    // trace: the memoized flattener, the indexed checker with one
+    // `drc.layer` span per checked layer (metal and poly here) and the
+    // index each of those builds, and the device render.
     riot::trace::enable(true);
+    let root = riot::trace::span("test.pipeline");
+    let root_id = root.id();
     let file = riot::cif::parse(
         "DS 1;L NM;B 400 250 200 125;L NP;B 200 200 600 100;DF;C 1 T 0 0;C 1 T 450 0;E",
     )
@@ -167,24 +171,44 @@ fn replay_emits_a_span_per_journaled_command_kind() {
         })
         .collect();
     let fb = riot::graphics::device::gigi().render(&list);
+    drop(root);
     riot::trace::enable(false);
     assert!(fb.lit_pixels() > 0, "pipeline fixture drew nothing");
 
-    let pipeline_spans: BTreeSet<String> = riot::trace::recorder()
-        .snapshot()
-        .into_iter()
-        .map(|r| r.name.to_owned())
-        .collect();
-    for name in [
-        "cif.flatten.memo",
-        "drc.check",
-        "gfx.render",
-        "gfx.render.band",
-    ] {
+    let records = riot::trace::recorder().snapshot();
+    let root = records
+        .iter()
+        .find(|r| r.id == root_id)
+        .expect("the root span is recorded");
+    let in_trace: Vec<&riot::trace::SpanRecord> =
+        records.iter().filter(|r| r.trace == root.trace).collect();
+    let pipeline_spans: BTreeSet<&str> = in_trace.iter().map(|r| r.name).collect();
+    for name in ["cif.flatten.memo", "drc.check", "gfx.render"] {
         assert!(
             pipeline_spans.contains(name),
-            "no span record named {name}; have {pipeline_spans:?}"
+            "no span named {name} in the caller's trace; have {pipeline_spans:?}"
         );
+    }
+    let layers: Vec<u64> = in_trace
+        .iter()
+        .filter(|r| r.name == "drc.layer")
+        .map(|r| r.id)
+        .collect();
+    assert_eq!(
+        layers.len(),
+        2,
+        "one drc.layer span per checked layer in the caller's trace; have {in_trace:?}"
+    );
+    for layer in &layers {
+        assert!(
+            in_trace
+                .iter()
+                .any(|r| r.name == "geom.index.build" && r.parent == *layer),
+            "drc.layer span {layer} has no geom.index.build child in the caller's trace"
+        );
+    }
+    for r in &in_trace {
+        assert_eq!(r.thread, root.thread, "{} left the caller's thread", r.name);
     }
 
     // Damage-path metrics: every recorded damage rect marks
