@@ -1,8 +1,8 @@
 //! The `fig9` suite at toy sizes: its measuring function passes the
 //! suite's checks at 4, 8 and 16 bits, and those checks refuse a report
 //! that breaks the paper's shape claim, drops a series, overruns the
-//! live pass, or holds a routed session that grows faster than the
-//! block.
+//! live pass, holds a DRC violation other than the known corner case,
+//! or holds a routed session that grows faster than the block.
 
 use riot_bench::fig9::{check, sweep, STYLES};
 use riot_bench::harness::Report;
@@ -54,6 +54,11 @@ fn check_refuses_broken_reports() {
         r.metrics.insert("stretched.8.violations".into(), 1);
     });
     assert!(dirty.contains("DRC violations"), "{dirty}");
+
+    let other = refusal(|r| {
+        r.metrics.insert("routed.16.other_violations".into(), 1);
+    });
+    assert!(other.contains("other than the 2λ"), "{other}");
 
     let over = refusal(|r| {
         r.metrics.insert("routed.8.live_ns".into(), 1);

@@ -229,7 +229,12 @@ proptest! {
             );
         }
         prop_assert_eq!(state.full_rebuilds(), 0);
-        prop_assert_eq!(state.shape_count(), shapes.len());
+        let painted: usize = shapes
+            .iter()
+            .filter(|s| rules.rule(s.layer).is_some())
+            .map(|s| crate::painted_rects(s).len())
+            .sum();
+        prop_assert_eq!(state.rect_count(), painted);
     }
 
     /// Several edits batched into one damage list patch the same as

@@ -1,20 +1,31 @@
-//! Damage-driven incremental design-rule checking.
+//! The DRC engine: [`DrcState::build`] checks a shape list from
+//! scratch and keeps what it computed; [`check_incremental`] patches
+//! that state from a list of dirty world rects. [`crate::check`] is
+//! `build` plus [`DrcState::violations`].
 //!
-//! [`DrcState`] retains everything [`crate::check`] computes — painted
-//! rects per layer, connected-component labels, and the per-pair
-//! spacing representatives — plus the spatial indexes used to compute
-//! them. [`check_incremental`] patches that state from a list of dirty
-//! world rects in two steps:
+//! Per checked layer the state keeps the painted rects in a slot
+//! arena, a connected-component label per slot (a removed slot's label
+//! marks it dead), a spatial index over the arena's head (the tail of
+//! slots added since the last index build is the overlay, scanned
+//! linearly), and one spacing representative per component pair.
+//! Width violations are a sorted multiset. A layer is checked in one
+//! pass: bucket its rects, index them, label components, then pick
+//! spacing representatives.
 //!
-//! * **Diff.** Every retained slot and every new shape is tested
-//!   against the damage, and only the shapes whose bounding boxes touch
-//!   it are diffed. Both scans walk a whole shape list, so the diff
-//!   is O(chip) — a cheap bounding-box test per shape, but on a
-//!   million-shape chip it is most of an edit's cost.
-//! * **Patch.** Only components touching removed or added geometry are
-//!   re-labeled, and only spacing pairs involving those components are
-//!   re-measured. Everything else is carried over untouched, so the
-//!   patch costs O(damage).
+//! * **Labels.** A flood over touching live slots, with an explicit
+//!   stack of index queries, gives each component a fresh label.
+//!   `build` floods from every slot. A patch floods from the added
+//!   rects and from the live neighbours of the removed ones.
+//! * **Diff.** The dirty old slots come from querying each layer's
+//!   index plus overlay with the dirty rects, so that side costs
+//!   O(damage). The dirty new rects come from a bounding-box scan of
+//!   `shapes`, which is O(chip): one cheap test per shape. Per layer
+//!   the two rect multisets are diffed, and rects on both sides stay.
+//!   Width entries are replaced wherever their `at` touches the damage.
+//! * **Patch.** Only the flooded slots are relabelled, and only
+//!   spacing pairs with a flooded slot are re-measured, so the patch
+//!   costs O(damage). The flood's visited set is the rebuild set, so
+//!   it is closed under touching by construction.
 //!
 //! # Contract
 //!
@@ -23,132 +34,218 @@
 //! the state was last in sync has its bounding box (old and new)
 //! covered by the dirty rects. Shapes outside the damage must be
 //! bit-identical between the old and new shape lists *as multisets* —
-//! their order may change freely. The update detects gross contract
-//! violations (clean-region population drift) and falls back to a
-//! full rebuild rather than returning wrong answers.
+//! their order may change freely. An update whose clean region holds
+//! a different number of painted rects on some layer than before has
+//! seen under-reported damage; it rebuilds in full rather than return
+//! wrong answers.
 //!
 //! # Equality
 //!
 //! After any sequence of updates, [`DrcState::violations`] equals
-//! `check(shapes, rules)` as a multiset. This depends on the
-//! order-free representative rule shared with the full checker
-//! ([`crate::offer_representative`]): the reported pair for a
-//! component pair is the minimum by `(measured, a, b)`, a pure
-//! function of the geometry that local patching can reproduce.
+//! `DrcState::build(shapes, rules).violations()` — that is,
+//! `check(shapes, rules)` — as a multiset. This rests on the
+//! order-free representative rule ([`crate::offer_representative`]):
+//! the reported pair for a component pair is the minimum by
+//! `(measured, a, b)`, a pure function of the geometry that local
+//! patching reproduces.
 
-use crate::unionfind::UnionFind;
 use crate::{
-    axis_gaps, emit_spacing, offer_representative, painted_rects, rect_key, RuleSet, Violation,
+    axis_gaps, emit_spacing, offer_representative, painted_rects, rect_key, LayerRule, RuleSet,
+    Violation,
 };
 use riot_cif::{FlatShape, Geometry};
 use riot_geom::{index::SpatialIndex, Layer, Rect};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// When this many un-indexed slots accumulate in a layer's overlay,
-/// the layer's spatial index is rebuilt over the whole arena. Keeps
-/// the linear overlay scan bounded while amortizing index builds over
-/// many updates.
+/// Once this many slots of a layer are dead, or this many sit in its
+/// overlay, the layer drops its dead slots and re-indexes the arena.
+/// Keeps the overlay scan and the dead weight bounded while
+/// amortizing index builds over many updates.
 const OVERLAY_REBUILD: usize = 2048;
+
+/// The label of a removed slot. It sorts above every fresh label, so
+/// a flood never visits a removed slot.
+const DEAD: u64 = u64::MAX;
 
 type RectKey = (i64, i64, i64, i64);
 
-/// Retained spacing state for one checked layer.
+/// A width violation: `(layer, at, measured, required)`.
+type WidthKey = (Layer, RectKey, i64, i64);
+
+/// Retained state for one checked layer.
 #[derive(Debug)]
 struct LayerState {
     space: i64,
-    /// Slot arena of painted rects. Grows only; removal tombstones.
+    /// Slot arena of painted rects. Removal tombstones; the index
+    /// rebuild drops the dead slots.
     rects: Vec<Rect>,
-    live: Vec<bool>,
-    /// Connected-component label per slot (valid while live).
+    live_rects: usize,
+    /// Connected-component label per slot; [`DEAD`] for a removed one.
     label: Vec<u64>,
-    /// Live slots per label.
-    members: HashMap<u64, Vec<u32>>,
-    /// Live slots per exact rect — how a removed shape's rects are
-    /// located without scanning.
-    by_rect: HashMap<RectKey, Vec<u32>>,
-    /// Index over `rects[..indexed_len]` (dead slots included in the
-    /// index and filtered by `live` at query time).
+    /// Index over `rects[..index.len()]`. The slots after it are the
+    /// overlay.
     index: SpatialIndex,
-    indexed_len: usize,
-    /// Live slots not yet in the index, scanned linearly.
-    overlay: Vec<u32>,
     /// Spacing representative per component pair (labels ordered).
     spacing: HashMap<(u64, u64), (i64, Rect, Rect)>,
 }
 
 impl LayerState {
-    fn new(space: i64) -> LayerState {
-        LayerState {
+    /// Indexes, labels and pairs `rects` from scratch.
+    fn build(rects: Vec<Rect>, space: i64, next_label: &mut u64) -> LayerState {
+        let _sp = riot_trace::span!("drc.layer", rects = rects.len() as u64);
+        let n = rects.len();
+        let mut layer = LayerState {
             space,
-            rects: Vec::new(),
-            live: Vec::new(),
-            label: Vec::new(),
-            members: HashMap::new(),
-            by_rect: HashMap::new(),
-            index: SpatialIndex::build(&[]),
-            indexed_len: 0,
-            overlay: Vec::new(),
+            index: SpatialIndex::build(&rects),
+            rects,
+            live_rects: n,
+            label: vec![0; n],
             spacing: HashMap::new(),
-        }
+        };
+        let fresh = *next_label;
+        layer.flood(0..n as u32, next_label, |_, _| {});
+        layer.pair(0..n as u32, fresh);
+        layer
     }
 
-    /// Live slots whose axis gap to `window` is at most `dist` on both
-    /// axes, from the index plus the overlay.
+    /// Slots, dead ones included, whose axis gap to `window` is at most
+    /// `dist` on both axes, from the index plus the overlay.
     fn neighbors(&self, window: Rect, dist: i64, out: &mut Vec<u32>) {
         out.clear();
-        out.extend(
-            self.index
-                .within(window, dist)
-                .filter(|&id| self.live[id])
-                .map(|id| id as u32),
-        );
-        for &s in &self.overlay {
-            let (dx, dy) = axis_gaps(self.rects[s as usize], window);
+        out.extend(self.index.within(window, dist).map(|s| s as u32));
+        for s in self.index.len()..self.rects.len() {
+            let (dx, dy) = axis_gaps(self.rects[s], window);
             if dx <= dist && dy <= dist {
-                out.push(s);
+                out.push(s as u32);
             }
         }
     }
 
-    fn add_slot(&mut self, r: Rect) -> u32 {
-        let slot = self.rects.len() as u32;
-        self.rects.push(r);
-        self.live.push(true);
-        self.label.push(0);
-        self.by_rect.entry(rect_key(r)).or_default().push(slot);
-        self.overlay.push(slot);
-        slot
+    /// Gives every live slot reachable from `seeds` through touching
+    /// live slots a fresh label, one per component, and calls
+    /// `visit(slot, old_label)` for each slot it relabels. A slot
+    /// already labelled at or above the first fresh label is done.
+    fn flood(
+        &mut self,
+        seeds: impl IntoIterator<Item = u32>,
+        next_label: &mut u64,
+        mut visit: impl FnMut(u32, u64),
+    ) {
+        let fresh = *next_label;
+        let (mut stack, mut near) = (Vec::new(), Vec::new());
+        for seed in seeds {
+            if self.label[seed as usize] >= fresh {
+                continue;
+            }
+            let label = *next_label;
+            *next_label += 1;
+            near.clear();
+            near.push(seed);
+            loop {
+                for &t in &near {
+                    let old = self.label[t as usize];
+                    if old < fresh {
+                        visit(t, old);
+                        self.label[t as usize] = label;
+                        stack.push(t);
+                    }
+                }
+                let Some(s) = stack.pop() else { break };
+                self.neighbors(self.rects[s as usize], 0, &mut near);
+            }
+        }
     }
 
-    /// Tombstones one live slot holding exactly `r`. `None` when no
-    /// such slot exists — a contract violation the caller handles.
-    fn remove_rect(&mut self, r: Rect) -> Option<u32> {
-        let slots = self.by_rect.get_mut(&rect_key(r))?;
-        let slot = slots.pop()?;
-        if slots.is_empty() {
-            self.by_rect.remove(&rect_key(r));
+    /// Offers every violating pair with a slot in `slots` as its
+    /// component pair's representative. `slots` must be every slot
+    /// labelled `fresh` or above, so a pair of two such slots is
+    /// offered once, from its lower slot.
+    fn pair(&mut self, slots: impl IntoIterator<Item = u32>, fresh: u64) {
+        if self.space <= 0 {
+            return;
         }
-        self.live[slot as usize] = false;
-        if let Some(m) = self.members.get_mut(&self.label[slot as usize]) {
-            if let Some(pos) = m.iter().position(|&s| s == slot) {
-                m.swap_remove(pos);
+        let mut near = Vec::new();
+        for s in slots {
+            let (rs, ls) = (self.rects[s as usize], self.label[s as usize]);
+            self.neighbors(rs, self.space - 1, &mut near);
+            for &t in &near {
+                let lt = self.label[t as usize];
+                if lt == ls || lt == DEAD || (t < s && lt >= fresh) {
+                    continue;
+                }
+                let rt = self.rects[t as usize];
+                let (dx, dy) = axis_gaps(rs, rt);
+                let key = (ls.min(lt), ls.max(lt));
+                offer_representative(&mut self.spacing, key, dx.max(dy), rs, rt);
             }
-            if m.is_empty() {
-                self.members.remove(&self.label[slot as usize]);
-            }
         }
-        if let Some(pos) = self.overlay.iter().position(|&s| s == slot) {
-            self.overlay.swap_remove(pos);
-        }
-        Some(slot)
     }
 
+    /// Live slots touching some rect of `dirty`.
+    fn touching(&self, dirty: &[Rect]) -> Vec<u32> {
+        let (mut slots, mut near) = (Vec::new(), Vec::new());
+        for &d in dirty {
+            self.neighbors(d, 0, &mut near);
+            slots.extend(near.iter().filter(|&&s| self.label[s as usize] != DEAD));
+        }
+        slots.sort_unstable();
+        slots.dedup();
+        slots
+    }
+
+    /// Tombstones `removed`, appends `added`, then relabels and
+    /// re-pairs every component either touched. Returns the number of
+    /// slots re-paired.
+    fn patch(&mut self, removed: &[u32], added: &[Rect], next_label: &mut u64) -> usize {
+        // Labels whose spacing entries go stale: the removed slots'
+        // and, below, those of every slot the flood relabels.
+        let mut stale: HashSet<u64> = HashSet::new();
+        for &s in removed {
+            stale.insert(self.label[s as usize]);
+            self.label[s as usize] = DEAD;
+        }
+        self.live_rects -= removed.len();
+        let (mut seeds, mut near) = (Vec::new(), Vec::new());
+        for &s in removed {
+            self.neighbors(self.rects[s as usize], 0, &mut near);
+            seeds.extend_from_slice(&near);
+        }
+        for &r in added {
+            seeds.push(self.rects.len() as u32);
+            self.rects.push(r);
+            self.label.push(0);
+        }
+        self.live_rects += added.len();
+
+        let fresh = *next_label;
+        let mut rebuild = Vec::new();
+        self.flood(seeds, next_label, |s, old| {
+            rebuild.push(s);
+            stale.insert(old);
+        });
+        self.spacing
+            .retain(|(a, b), _| !stale.contains(a) && !stale.contains(b));
+        self.pair(rebuild.iter().copied(), fresh);
+        self.maybe_rebuild_index();
+        rebuild.len()
+    }
+
+    /// Drops the dead slots and re-indexes the arena once
+    /// [`OVERLAY_REBUILD`] slots are dead or in the overlay. O(arena),
+    /// the cost of the index build itself. Labels move with their
+    /// slots; the spacing map names labels, not slots.
     fn maybe_rebuild_index(&mut self) {
-        if self.overlay.len() > OVERLAY_REBUILD {
-            self.index = SpatialIndex::build(&self.rects);
-            self.indexed_len = self.rects.len();
-            self.overlay.clear();
+        let dead = self.rects.len() - self.live_rects;
+        let overlay = self.rects.len() - self.index.len();
+        if dead.max(overlay) < OVERLAY_REBUILD {
+            return;
         }
+        let live: Vec<usize> = (0..self.rects.len())
+            .filter(|&s| self.label[s] != DEAD)
+            .collect();
+        self.rects = live.iter().map(|&s| self.rects[s]).collect();
+        self.label = live.iter().map(|&s| self.label[s]).collect();
+        self.index = SpatialIndex::build(&self.rects);
     }
 }
 
@@ -156,24 +253,18 @@ impl LayerState {
 #[derive(Debug)]
 pub struct DrcState {
     rules: RuleSet,
-    /// Slot arena of the current shapes (with cached bbox); removal
-    /// tombstones, addition appends.
-    shapes: Vec<Option<(FlatShape, Rect)>>,
-    live_shapes: usize,
     layers: BTreeMap<Layer, LayerState>,
-    /// Width-violation multiset keyed by `(layer, at, measured,
-    /// required)` — width depends on one shape only, so it patches as
-    /// a plain multiset diff.
-    width: HashMap<(Layer, RectKey, i64, i64), usize>,
+    /// Width violations, sorted. Width depends on one shape only, so
+    /// it patches as a plain multiset.
+    width: Vec<WidthKey>,
     next_label: u64,
     /// Updates that fell back to a full rebuild (contract breach).
     rebuilds: u64,
 }
 
-/// The width violation a single shape produces, if any — the same
-/// predicate [`crate::check`] applies per shape.
-fn width_violation(shape: &FlatShape, rules: &RuleSet) -> Option<(Layer, RectKey, i64, i64)> {
-    let rule = rules.rule(shape.layer)?;
+/// The width violation a single shape produces under its layer's
+/// rule, if any.
+fn width_violation(shape: &FlatShape, rule: LayerRule) -> Option<WidthKey> {
     let measured = match &shape.geometry {
         Geometry::Wire { width, .. } => *width,
         other => {
@@ -191,110 +282,60 @@ fn width_violation(shape: &FlatShape, rules: &RuleSet) -> Option<(Layer, RectKey
     })
 }
 
-/// Diff key: layer + geometry. Depth is deliberately excluded — the
-/// checker never reads it, so shapes differing only in depth are
-/// DRC-equivalent.
-fn shape_key(s: &FlatShape) -> String {
-    format!("{:?}|{:?}", s.layer, s.geometry)
-}
-
 impl DrcState {
-    /// Builds the retained state from scratch — the full-recompute
-    /// baseline every incremental update patches.
+    /// Checks `shapes` from scratch and keeps the result: the full
+    /// check every incremental update patches.
     pub fn build(shapes: &[FlatShape], rules: &RuleSet) -> DrcState {
-        let mut sp = riot_trace::span!("drc.state.build", shapes = shapes.len() as u64);
-        let mut state = DrcState {
-            rules: rules.clone(),
-            shapes: Vec::with_capacity(shapes.len()),
-            live_shapes: shapes.len(),
-            layers: BTreeMap::new(),
-            width: HashMap::new(),
-            next_label: 1,
-            rebuilds: 0,
-        };
+        let mut width = Vec::new();
+        let mut painted: BTreeMap<Layer, Vec<Rect>> = BTreeMap::new();
         for s in shapes {
-            if let Some(k) = width_violation(s, rules) {
-                *state.width.entry(k).or_insert(0) += 1;
-            }
-            let bb = s.geometry.bounding_box();
-            if let Some(rule) = rules.rule(s.layer) {
-                let layer = state
-                    .layers
-                    .entry(s.layer)
-                    .or_insert_with(|| LayerState::new(rule.min_space));
-                for r in painted_rects(s) {
-                    layer.add_slot(r);
-                }
-            }
-            state.shapes.push(Some((s.clone(), bb)));
+            let Some(rule) = rules.rule(s.layer) else {
+                continue;
+            };
+            width.extend(width_violation(s, rule));
+            painted.entry(s.layer).or_default().extend(painted_rects(s));
         }
-        for layer in state.layers.values_mut() {
-            layer.index = SpatialIndex::build(&layer.rects);
-            layer.indexed_len = layer.rects.len();
-            layer.overlay.clear();
-            // Initial labels via one union-find over the whole layer.
-            let comp = crate::components(&layer.rects, &layer.index);
-            let mut fresh: HashMap<usize, u64> = HashMap::new();
-            for (slot, &c) in comp.iter().enumerate() {
-                let label = *fresh.entry(c).or_insert_with(|| {
-                    let l = state.next_label;
-                    state.next_label += 1;
-                    l
-                });
-                layer.label[slot] = label;
-                layer.members.entry(label).or_default().push(slot as u32);
-            }
-            // Initial spacing representatives.
-            if layer.space > 0 {
-                let mut neighbors = Vec::new();
-                for i in 0..layer.rects.len() {
-                    neighbors.clear();
-                    neighbors.extend(layer.index.within(layer.rects[i], layer.space - 1));
-                    for &j in &neighbors {
-                        if j <= i || layer.label[i] == layer.label[j] {
-                            continue;
-                        }
-                        let (a, b) = (layer.rects[i], layer.rects[j]);
-                        let (dx, dy) = axis_gaps(a, b);
-                        let key = (
-                            layer.label[i].min(layer.label[j]),
-                            layer.label[i].max(layer.label[j]),
-                        );
-                        offer_representative(&mut layer.spacing, key, dx.max(dy), a, b);
-                    }
-                }
-            }
+        width.sort_unstable();
+        let mut next_label = 1;
+        let layers = painted
+            .into_iter()
+            .map(|(layer, rects)| {
+                let space = rules.rule(layer).expect("bucketed by rule").min_space;
+                (layer, LayerState::build(rects, space, &mut next_label))
+            })
+            .collect();
+        DrcState {
+            rules: rules.clone(),
+            layers,
+            width,
+            next_label,
+            rebuilds: 0,
         }
-        sp.field("labels", state.next_label);
-        state
     }
 
-    /// The current violation multiset: equals `check(shapes, rules)`
-    /// up to ordering (width violations first, then per-layer spacing
-    /// in canonical `(measured, a, b)` order).
+    /// The current violations, in canonical order: width violations
+    /// sorted, then each layer's spacing violations in
+    /// `(measured, a, b)` order.
     pub fn violations(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut width: Vec<_> = self.width.iter().collect();
-        width.sort_unstable_by_key(|&(k, _)| *k);
-        for (&(layer, at, measured, required), &count) in width {
-            for _ in 0..count {
-                out.push(Violation::Width {
-                    layer,
-                    at: Rect::new(at.0, at.1, at.2, at.3),
-                    measured,
-                    required,
-                });
-            }
-        }
+        let mut out: Vec<Violation> = self
+            .width
+            .iter()
+            .map(|&(layer, at, measured, required)| Violation::Width {
+                layer,
+                at: Rect::new(at.0, at.1, at.2, at.3),
+                measured,
+                required,
+            })
+            .collect();
         for (&layer, ls) in &self.layers {
-            out.extend(emit_spacing(layer, ls.space, ls.spacing.clone()));
+            out.extend(emit_spacing(layer, ls.space, &ls.spacing));
         }
         out
     }
 
-    /// Live shapes currently accounted for.
-    pub fn shape_count(&self) -> usize {
-        self.live_shapes
+    /// Live painted rects over all checked layers.
+    pub fn rect_count(&self) -> usize {
+        self.layers.values().map(|l| l.live_rects).sum()
     }
 
     /// Updates that detected a contract breach and rebuilt fully.
@@ -316,227 +357,90 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
     }
     let mut sp = riot_trace::span!("drc.incremental", dirty = dirty.len() as u64);
     let union = dirty[1..].iter().fold(dirty[0], |acc, &r| acc.union(r));
-    let in_dirty = |bb: Rect| bb.touches(union) && dirty.iter().any(|d| bb.touches(*d));
+    let in_dirty = |r: Rect| r.touches(union) && dirty.iter().any(|d| r.touches(*d));
 
-    // Multiset-diff the dirty subsets at shape level: shapes present
-    // on both sides survive untouched; the rest are removals and
-    // additions.
-    let mut old_dirty: HashMap<String, Vec<usize>> = HashMap::new();
-    let mut old_dirty_total = 0usize;
-    for (slot, entry) in state.shapes.iter().enumerate() {
-        if let Some((shape, bb)) = entry {
-            if in_dirty(*bb) {
-                old_dirty.entry(shape_key(shape)).or_default().push(slot);
-                old_dirty_total += 1;
-            }
-        }
-    }
-    let mut added: Vec<&FlatShape> = Vec::new();
-    let mut new_dirty_total = 0usize;
+    // New side: one bounding-box scan of `shapes` finds the painted
+    // rects touching the damage, and counts each layer's painted rects.
+    let mut painted = [0usize; Layer::ALL.len()];
+    let mut fresh: BTreeMap<Layer, Vec<Rect>> = BTreeMap::new();
+    let mut width = Vec::new();
     for s in shapes {
-        if in_dirty(s.geometry.bounding_box()) {
-            new_dirty_total += 1;
-            match old_dirty.get_mut(&shape_key(s)) {
-                Some(slots) if !slots.is_empty() => {
-                    slots.pop();
-                }
-                _ => added.push(s),
+        painted[s.layer as usize] += match &s.geometry {
+            Geometry::Wire { path, .. } => path.segment_count(),
+            _ => 1,
+        };
+        if !in_dirty(s.geometry.bounding_box()) {
+            continue;
+        }
+        let Some(rule) = state.rules.rule(s.layer) else {
+            continue;
+        };
+        width.extend(width_violation(s, rule));
+        let rects = painted_rects(s).into_iter().filter(|&r| in_dirty(r));
+        fresh.entry(s.layer).or_default().extend(rects);
+    }
+
+    // Old side, O(damage): each layer's dirty slots come from its index
+    // plus overlay. Rects on both sides stay; the rest are removed
+    // slots and added rects.
+    let mut diffs = Vec::new();
+    for &(layer, _) in &state.rules.rules {
+        let new = fresh.remove(&layer).unwrap_or_default();
+        let (live, old) = match state.layers.get(&layer) {
+            Some(ls) => {
+                let slots = ls.touching(dirty);
+                let keyed = slots.iter().map(|&s| (rect_key(ls.rects[s as usize]), s));
+                (ls.live_rects, keyed.collect())
             }
+            None => (0, Vec::new()),
+        };
+        // The clean region must hold as many rects on both sides.
+        // Drift means damage was under-reported: rebuild, not drift.
+        if live - old.len() != painted[layer as usize] - new.len() {
+            state.rebuilds += 1;
+            let rebuilds = state.rebuilds;
+            *state = DrcState::build(shapes, &state.rules);
+            state.rebuilds = rebuilds;
+            sp.field("rebuild", 1);
+            return state.rect_count();
         }
-    }
-    let removed: Vec<usize> = old_dirty.into_values().flatten().collect();
-
-    // Contract sanity: the clean region must hold the same number of
-    // shapes on both sides. Population drift means damage was
-    // under-reported — rebuild rather than drift.
-    let clean_old = state.live_shapes - old_dirty_total;
-    let clean_new = shapes.len() - new_dirty_total;
-    if clean_old != clean_new {
-        state.rebuilds += 1;
-        let rebuilds = state.rebuilds;
-        *state = DrcState::build(shapes, &state.rules);
-        state.rebuilds = rebuilds;
-        sp.field("rebuild", 1);
-        return state.live_shapes;
-    }
-    if removed.is_empty() && added.is_empty() {
-        return 0;
-    }
-
-    // Per-layer work lists: removed slots and added rects.
-    let mut removed_rects: BTreeMap<Layer, Vec<Rect>> = BTreeMap::new();
-    for &slot in &removed {
-        let (shape, _) = state.shapes[slot].take().expect("diffed as live");
-        state.live_shapes -= 1;
-        if let Some(k) = width_violation(&shape, &state.rules) {
-            if let Some(c) = state.width.get_mut(&k) {
-                *c -= 1;
-                if *c == 0 {
-                    state.width.remove(&k);
-                }
-            }
+        let mut unmatched: HashMap<RectKey, Vec<u32>> = HashMap::new();
+        for (key, s) in old {
+            unmatched.entry(key).or_default().push(s);
         }
-        if state.rules.rule(shape.layer).is_some() {
-            removed_rects
-                .entry(shape.layer)
-                .or_default()
-                .extend(painted_rects(&shape));
+        let added: Vec<Rect> = new
+            .into_iter()
+            .filter(|&r| unmatched.get_mut(&rect_key(r)).and_then(Vec::pop).is_none())
+            .collect();
+        let removed: Vec<u32> = unmatched.into_values().flatten().collect();
+        if !removed.is_empty() || !added.is_empty() {
+            diffs.push((layer, removed, added));
         }
-    }
-    let mut added_rects: BTreeMap<Layer, Vec<Rect>> = BTreeMap::new();
-    for s in added {
-        if let Some(k) = width_violation(s, &state.rules) {
-            *state.width.entry(k).or_insert(0) += 1;
-        }
-        if state.rules.rule(s.layer).is_some() {
-            added_rects
-                .entry(s.layer)
-                .or_default()
-                .extend(painted_rects(s));
-        }
-        state
-            .shapes
-            .push(Some((s.clone(), s.geometry.bounding_box())));
-        state.live_shapes += 1;
     }
 
-    // Patch each touched layer's connectivity and spacing.
-    let mut patched_total = 0usize;
-    let touched: Vec<Layer> = removed_rects
-        .keys()
-        .chain(added_rects.keys())
-        .copied()
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    for layer_id in touched {
-        let rule = state.rules.rule(layer_id).expect("only checked layers");
-        let layer = state
+    state
+        .width
+        .retain(|&(_, at, _, _)| !in_dirty(Rect::new(at.0, at.1, at.2, at.3)));
+    state.width.extend(width);
+    state.width.sort_unstable();
+
+    let mut patched = 0;
+    for (layer, removed, added) in diffs {
+        let space = state.rules.rule(layer).expect("a checked layer").min_space;
+        let next_label = &mut state.next_label;
+        let ls = state
             .layers
-            .entry(layer_id)
-            .or_insert_with(|| LayerState::new(rule.min_space));
-
-        let mut affected: HashSet<u64> = HashSet::new();
-        for &r in removed_rects
-            .get(&layer_id)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-        {
-            match layer.remove_rect(r) {
-                Some(slot) => {
-                    affected.insert(layer.label[slot as usize]);
-                }
-                None => {
-                    // A removed shape whose rect is not in the state:
-                    // the caller's shape list and ours disagree.
-                    state.rebuilds += 1;
-                    let rebuilds = state.rebuilds;
-                    *state = DrcState::build(shapes, &state.rules);
-                    state.rebuilds = rebuilds;
-                    sp.field("rebuild", 1);
-                    return state.live_shapes;
-                }
-            }
-        }
-        let mut new_slots: Vec<u32> = Vec::new();
-        let mut neighbors = Vec::new();
-        for &r in added_rects.get(&layer_id).map(Vec::as_slice).unwrap_or(&[]) {
-            new_slots.push(layer.add_slot(r));
-        }
-        // Labels whose components touch the additions join the rebuild
-        // set (an addition can merge two components into one).
-        for &s in &new_slots {
-            layer.neighbors(layer.rects[s as usize], 0, &mut neighbors);
-            for &t in &neighbors {
-                if !new_slots.contains(&t) {
-                    affected.insert(layer.label[t as usize]);
-                }
-            }
-        }
-
-        // Rebuild set: every remaining member of an affected label,
-        // plus the new slots.
-        let mut rebuild: Vec<u32> = new_slots.clone();
-        for l in &affected {
-            if let Some(m) = layer.members.get(l) {
-                rebuild.extend(m.iter().copied());
-            }
-        }
-        rebuild.sort_unstable();
-        rebuild.dedup();
-        patched_total += rebuild.len();
-
-        // Re-pair the rebuild set: union-find over touching members.
-        // Damage closure guarantees any slot touching a rebuild slot
-        // is itself in the set (proved in DESIGN.md §10), so the local
-        // union-find sees every edge.
-        let local: HashMap<u32, usize> = rebuild.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let mut uf = UnionFind::new(rebuild.len());
-        for (i, &s) in rebuild.iter().enumerate() {
-            layer.neighbors(layer.rects[s as usize], 0, &mut neighbors);
-            for &t in &neighbors {
-                if let Some(&j) = local.get(&t) {
-                    uf.union(i, j);
-                }
-            }
-        }
-        let comp = uf.labels();
-        // Old labels die with their entries; fresh labels replace them.
-        for l in &affected {
-            layer.members.remove(l);
-        }
-        let mut fresh: HashMap<usize, u64> = HashMap::new();
-        for (i, &s) in rebuild.iter().enumerate() {
-            let label = match fresh.get(&comp[i]) {
-                Some(&l) => l,
-                None => {
-                    let l = state.next_label;
-                    state.next_label += 1;
-                    fresh.insert(comp[i], l);
-                    l
-                }
-            };
-            layer.label[s as usize] = label;
-            layer.members.entry(label).or_default().push(s);
-        }
-
-        // Spacing: entries naming an affected (or removed) label are
-        // stale; pairs involving the rebuild set are re-measured.
-        layer
-            .spacing
-            .retain(|&(a, b), _| !affected.contains(&a) && !affected.contains(&b));
-        if layer.space > 0 {
-            for &s in &rebuild {
-                let rs = layer.rects[s as usize];
-                layer.neighbors(rs, layer.space - 1, &mut neighbors);
-                for &t in &neighbors {
-                    let (ls, lt) = (layer.label[s as usize], layer.label[t as usize]);
-                    if ls == lt {
-                        continue;
-                    }
-                    let rt = layer.rects[t as usize];
-                    let (dx, dy) = axis_gaps(rs, rt);
-                    if dx < layer.space && dy < layer.space {
-                        offer_representative(
-                            &mut layer.spacing,
-                            (ls.min(lt), ls.max(lt)),
-                            dx.max(dy),
-                            rs,
-                            rt,
-                        );
-                    }
-                }
-            }
-        }
-        layer.maybe_rebuild_index();
+            .entry(layer)
+            .or_insert_with(|| LayerState::build(Vec::new(), space, next_label));
+        patched += ls.patch(&removed, &added, next_label);
     }
-    sp.field("patched", patched_total as u64);
+    sp.field("patched", patched as u64);
     if riot_trace::enabled() {
         riot_trace::registry()
             .histogram("drc.incremental.patched")
-            .record(patched_total as u64);
+            .record(patched as u64);
     }
-    patched_total
+    patched
 }
 
 #[cfg(test)]
@@ -571,7 +475,10 @@ mod tests {
         ];
         let rules = RuleSet::nmos();
         let state = DrcState::build(&shapes, &rules);
-        assert_eq!(canon(state.violations()), canon(check(&shapes, &rules)));
+        assert_eq!(
+            canon(state.violations()),
+            canon(crate::naive::check(&shapes, &rules))
+        );
     }
 
     #[test]
@@ -666,5 +573,134 @@ mod tests {
         let after = vec![thin.clone()];
         check_incremental(&mut state, &dirty, &after);
         assert_eq!(canon(state.violations()), canon(check(&after, &rules)));
+    }
+
+    #[test]
+    fn coincident_rects_are_removed_one_at_a_time() {
+        let rules = RuleSet::nmos();
+        let dup = boxed(Layer::Metal, Rect::new(0, 0, 10 * LAMBDA, 3 * LAMBDA));
+        let near = boxed(
+            Layer::Metal,
+            Rect::new(0, 4 * LAMBDA, 10 * LAMBDA, 7 * LAMBDA),
+        );
+        let mut shapes = vec![dup.clone(), near.clone(), dup.clone(), dup.clone()];
+        let mut state = DrcState::build(&shapes, &rules);
+        assert_eq!(state.violations().len(), 1);
+        let dirty = [dup.geometry.bounding_box()];
+        for left in (0..3).rev() {
+            let at = shapes.iter().rposition(|s| *s == dup).expect("a copy left");
+            shapes.remove(at);
+            check_incremental(&mut state, &dirty, &shapes);
+            assert_eq!(canon(state.violations()), canon(check(&shapes, &rules)));
+            assert_eq!(state.rect_count(), left + 1);
+        }
+        assert!(state.violations().is_empty());
+        assert_eq!(state.full_rebuilds(), 0);
+    }
+
+    #[test]
+    fn unchanged_wire_straddling_the_damage_is_kept() {
+        let rules = RuleSet::nmos();
+        // An L of two segments: the box moves off the horizontal one,
+        // so only that segment touches the damage.
+        let path = riot_geom::Path::from_points([
+            riot_geom::Point::new(0, 0),
+            riot_geom::Point::new(40 * LAMBDA, 0),
+            riot_geom::Point::new(40 * LAMBDA, 40 * LAMBDA),
+        ])
+        .unwrap();
+        let wire = FlatShape {
+            layer: Layer::Metal,
+            geometry: Geometry::Wire {
+                width: 3 * LAMBDA,
+                path,
+            },
+            depth: 0,
+        };
+        // 1λ from the vertical segment: a violation that stays.
+        let beside = boxed(
+            Layer::Metal,
+            Rect::new(42 * LAMBDA, 20 * LAMBDA, 46 * LAMBDA, 23 * LAMBDA),
+        );
+        let on = boxed(
+            Layer::Metal,
+            Rect::new(8 * LAMBDA, LAMBDA, 12 * LAMBDA, 4 * LAMBDA),
+        );
+        let off = boxed(
+            Layer::Metal,
+            Rect::new(20 * LAMBDA, 10 * LAMBDA, 24 * LAMBDA, 13 * LAMBDA),
+        );
+        let dirty = [on.geometry.bounding_box(), off.geometry.bounding_box()];
+        let before = vec![wire.clone(), beside.clone(), on.clone()];
+        let after = vec![wire.clone(), beside.clone(), off.clone()];
+        let mut state = DrcState::build(&before, &rules);
+        for shapes in [&after, &before, &after] {
+            check_incremental(&mut state, &dirty, shapes);
+            assert_eq!(canon(state.violations()), canon(check(shapes, &rules)));
+            assert_eq!(state.violations().len(), 1);
+            assert_eq!(state.rect_count(), 4);
+        }
+        assert_eq!(state.full_rebuilds(), 0);
+    }
+
+    #[test]
+    fn removal_relabels_every_piece_it_leaves() {
+        let rules = RuleSet::nmos();
+        let l = LAMBDA;
+        // A hub with four arms; the west arm runs on past the hub's
+        // reach. Without the hub the arms are four conductors, each
+        // 2λ × 2λ diagonally from its neighbours.
+        let hub = boxed(Layer::Metal, Rect::new(3 * l, 3 * l, 10 * l, 10 * l));
+        let arms = vec![
+            boxed(Layer::Metal, Rect::new(0, 5 * l, 3 * l, 8 * l)),
+            boxed(Layer::Metal, Rect::new(-3 * l, 5 * l, 0, 8 * l)),
+            boxed(Layer::Metal, Rect::new(10 * l, 5 * l, 13 * l, 8 * l)),
+            boxed(Layer::Metal, Rect::new(5 * l, 0, 8 * l, 3 * l)),
+            boxed(Layer::Metal, Rect::new(5 * l, 10 * l, 8 * l, 13 * l)),
+        ];
+        let mut whole = arms.clone();
+        whole.push(hub.clone());
+        let mut state = DrcState::build(&whole, &rules);
+        assert!(state.violations().is_empty());
+        let dirty = [hub.geometry.bounding_box()];
+        check_incremental(&mut state, &dirty, &arms);
+        assert_eq!(canon(state.violations()), canon(check(&arms, &rules)));
+        assert_eq!(state.violations().len(), 4);
+        let metal = &state.layers[&Layer::Metal];
+        let labels: HashSet<u64> = metal.label.iter().copied().filter(|&l| l != DEAD).collect();
+        assert_eq!(labels.len(), 4, "four pieces, four labels");
+        check_incremental(&mut state, &dirty, &whole);
+        assert!(state.violations().is_empty());
+        assert_eq!(state.full_rebuilds(), 0);
+    }
+
+    #[test]
+    fn moves_do_not_grow_the_arena() {
+        let rules = RuleSet::nmos();
+        let stay = boxed(Layer::Metal, Rect::new(0, 0, 10 * LAMBDA, 3 * LAMBDA));
+        let near = boxed(
+            Layer::Metal,
+            Rect::new(0, 4 * LAMBDA, 10 * LAMBDA, 7 * LAMBDA),
+        );
+        let far = boxed(
+            Layer::Metal,
+            Rect::new(0, 20 * LAMBDA, 10 * LAMBDA, 23 * LAMBDA),
+        );
+        let dirty = [near.geometry.bounding_box(), far.geometry.bounding_box()];
+        let mut state = DrcState::build(&[stay.clone(), near.clone()], &rules);
+        for i in 0..3 * OVERLAY_REBUILD {
+            let moved = if i % 2 == 0 { &far } else { &near };
+            let shapes = [stay.clone(), moved.clone()];
+            check_incremental(&mut state, &dirty, &shapes);
+            assert_eq!(canon(state.violations()), canon(check(&shapes, &rules)));
+        }
+        let metal = &state.layers[&Layer::Metal];
+        assert!(
+            metal.rects.len() < metal.live_rects + OVERLAY_REBUILD,
+            "{} slots for {} live rects",
+            metal.rects.len(),
+            metal.live_rects
+        );
+        assert_eq!(state.full_rebuilds(), 0);
     }
 }

@@ -10,6 +10,12 @@
 //! throughout ([`RuleSet::nmos`]); widths and spaces are in
 //! centimicrons, matching [`riot_cif`] geometry.
 //!
+//! There is one engine. [`DrcState::build`] checks a shape list from
+//! scratch and keeps what it computed; [`check`] is that build plus
+//! its report, and [`check_incremental`] patches the kept state after
+//! an edit. The all-pairs [`naive`] checker is kept apart as the
+//! reference the tests compare against.
+//!
 //! # Example
 //!
 //! ```
@@ -42,15 +48,14 @@ mod differential;
 mod incremental;
 #[cfg(any(test, feature = "naive"))]
 pub mod naive;
-mod unionfind;
 
 pub use incremental::{check_incremental, DrcState};
 
 use riot_cif::{FlatShape, Geometry};
-use riot_geom::{index::SpatialIndex, Layer, Rect, LAMBDA};
-use std::collections::{BTreeMap, HashMap};
+use riot_geom::{Layer, Rect, LAMBDA};
+use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::fmt;
-use unionfind::UnionFind;
 
 /// Minimum width and same-layer spacing for one layer, centimicrons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,59 +201,20 @@ pub(crate) fn painted_rects(shape: &FlatShape) -> Vec<Rect> {
 /// violation found. Touching features count as connected and are not
 /// spacing-checked against each other.
 ///
-/// Spacing is checked through a [`SpatialIndex`] per layer — each rect
-/// only inspects its `min_space`-neighborhood instead of every other
-/// rect — one layer after another on the caller's thread, so every
-/// `drc.layer` span stays in the caller's trace. The reported violation
-/// set is identical to the retained all-pairs reference ([`naive`],
-/// compiled for tests and the `naive` feature) and to the incremental
-/// checker ([`check_incremental`]); only cross-layer ordering differs
-/// (layers are visited in [`Layer`] order rather than first-appearance
-/// order). Each component pair's representative rect pair is the
-/// order-free minimum by `(measured, a, b)`, so all three paths agree
-/// shape for shape.
+/// This is [`DrcState::build`] followed by [`DrcState::violations`], so
+/// the full check and [`check_incremental`] share one engine. Layers
+/// are checked one after another on the caller's thread, so every
+/// `drc.layer` span stays in the caller's trace. The
+/// result comes in the state's canonical order: width violations
+/// sorted by `(layer, at, measured, required)`, then each checked
+/// layer's spacing violations, layers in [`Layer`] order and each
+/// layer's in `(measured, a, b)` order. As a multiset it equals the
+/// all-pairs reference ([`naive`], compiled for tests and the `naive`
+/// feature): each component pair's representative rect pair is the
+/// order-free minimum by `(measured, a, b)`.
 pub fn check(shapes: &[FlatShape], rules: &RuleSet) -> Vec<Violation> {
     let mut sp = riot_trace::span!("drc.check", shapes = shapes.len() as u64);
-    // Width checks per shape.
-    let mut violations = Vec::new();
-    for s in shapes {
-        let Some(rule) = rules.rule(s.layer) else {
-            continue;
-        };
-        let measured = match &s.geometry {
-            Geometry::Wire { width, .. } => *width,
-            other => {
-                let bb = other.bounding_box();
-                bb.width().min(bb.height())
-            }
-        };
-        if measured < rule.min_width {
-            violations.push(Violation::Width {
-                layer: s.layer,
-                at: s.geometry.bounding_box(),
-                measured,
-                required: rule.min_width,
-            });
-        }
-    }
-
-    // Spacing checks: merge touching same-layer geometry into connected
-    // components first (abutted rails are one conductor, not two close
-    // shapes), then require full spacing between different components.
-    let mut by_layer: BTreeMap<Layer, Vec<Rect>> = BTreeMap::new();
-    for s in shapes {
-        if rules.rule(s.layer).is_none() {
-            continue;
-        }
-        by_layer
-            .entry(s.layer)
-            .or_default()
-            .extend(painted_rects(s));
-    }
-    for (layer, rects) in by_layer {
-        let space = rules.rule(layer).expect("filtered above").min_space;
-        violations.extend(layer_spacing_violations(layer, &rects, space));
-    }
+    let violations = DrcState::build(shapes, rules).violations();
     sp.field("violations", violations.len() as u64);
     violations
 }
@@ -290,13 +256,13 @@ pub(crate) fn offer_representative<K: std::hash::Hash + Eq>(
 }
 
 /// Emits one layer's spacing representatives in canonical order
-/// (ascending `(measured, a, b)`).
+/// (ascending `(measured, a, b)`), from an owned or a borrowed map.
 pub(crate) fn emit_spacing<K>(
     layer: Layer,
     space: i64,
-    best: HashMap<K, (i64, Rect, Rect)>,
+    best: impl Borrow<HashMap<K, (i64, Rect, Rect)>>,
 ) -> Vec<Violation> {
-    let mut list: Vec<(i64, Rect, Rect)> = best.into_values().collect();
+    let mut list: Vec<(i64, Rect, Rect)> = best.borrow().values().copied().collect();
     list.sort_unstable_by_key(|&(m, a, b)| (m, rect_key(a), rect_key(b)));
     list.into_iter()
         .map(|(measured, a, b)| Violation::Spacing {
@@ -317,60 +283,6 @@ pub(crate) fn axis_gaps(a: Rect, b: Rect) -> (i64, i64) {
     let dx = (b.x0 - a.x1).max(a.x0 - b.x1).max(0);
     let dy = (b.y0 - a.y1).max(a.y0 - b.y1).max(0);
     (dx, dy)
-}
-
-/// Spacing violations on one layer, index-driven.
-///
-/// For every rect the index yields only its neighbors with an axis gap
-/// `< space`. One violation is reported per component pair; the
-/// representative rect pair is the order-free minimum chosen by
-/// [`offer_representative`], so the result is a pure function of the
-/// geometry.
-fn layer_spacing_violations(layer: Layer, rects: &[Rect], space: i64) -> Vec<Violation> {
-    if rects.len() < 2 || space <= 0 {
-        return Vec::new();
-    }
-    let _sp = riot_trace::span!("drc.layer", rects = rects.len() as u64);
-    let index = SpatialIndex::build(rects);
-    let comp = components(rects, &index);
-    let mut best: HashMap<(usize, usize), (i64, Rect, Rect)> = HashMap::new();
-    let mut neighbors = Vec::new();
-    for i in 0..rects.len() {
-        neighbors.clear();
-        neighbors.extend(index.within(rects[i], space - 1).filter(|&j| j > i));
-        for &j in &neighbors {
-            if comp[i] == comp[j] {
-                continue; // one conductor
-            }
-            let (a, b) = (rects[i], rects[j]);
-            let (dx, dy) = axis_gaps(a, b);
-            let measured = dx.max(dy);
-            debug_assert!(dx < space && dy < space, "index over-expanded");
-            offer_representative(
-                &mut best,
-                (comp[i].min(comp[j]), comp[i].max(comp[j])),
-                measured,
-                a,
-                b,
-            );
-        }
-    }
-    emit_spacing(layer, space, best)
-}
-
-/// Connected-component labels for touching rectangles: the index turns
-/// edge discovery from all-pairs into per-rect neighborhood queries,
-/// and the union-find uses union-by-rank + path compression.
-pub(crate) fn components(rects: &[Rect], index: &SpatialIndex) -> Vec<usize> {
-    let mut uf = UnionFind::new(rects.len());
-    for (i, &r) in rects.iter().enumerate() {
-        for j in index.query(r) {
-            if j > i {
-                uf.union(i, j);
-            }
-        }
-    }
-    uf.labels()
 }
 
 #[cfg(test)]
@@ -494,5 +406,33 @@ mod tests {
             boxed(Layer::Glass, Rect::new(0, 0, LAMBDA, LAMBDA)),
         ];
         assert!(check(&shapes, &RuleSet::nmos()).is_empty());
+    }
+
+    #[test]
+    fn long_abutted_rail_is_one_clean_component() {
+        // 100,000 3λ boxes in one serpentine chain: rows of abutted
+        // boxes 3λ apart, each row joined to the next by one box at
+        // alternate ends. The flood walks the whole chain on its stack.
+        let (cols, side) = (316, 3 * LAMBDA);
+        let (mut x, mut y, mut step) = (0, 0, 1);
+        let mut rail = Vec::new();
+        while rail.len() < 100_000 {
+            rail.push(boxed(
+                Layer::Metal,
+                Rect::new(x * side, y * side, (x + 1) * side, (y + 1) * side),
+            ));
+            if y % 2 == 1 || !(0..cols).contains(&(x + step)) {
+                if y % 2 == 0 {
+                    step = -step;
+                }
+                y += 1;
+            } else {
+                x += step;
+            }
+        }
+        let state = DrcState::build(&rail, &RuleSet::nmos());
+        assert!(state.violations().is_empty());
+        assert_eq!(state.rect_count(), 100_000);
+        assert!(check(&rail, &RuleSet::nmos()).is_empty());
     }
 }

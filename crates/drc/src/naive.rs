@@ -2,7 +2,8 @@
 //!
 //! This is the original O(n²) implementation of [`crate::check`], kept
 //! as the reference oracle: the differential property tests prove the
-//! indexed and incremental checkers report the same violation set, and
+//! one engine ([`crate::DrcState`], behind both [`crate::check`] and
+//! [`crate::check_incremental`]) reports the same violation set, and
 //! the `riot-bench` spatial benchmark measures the speedup against it.
 //! The only departure from the original code is the shared order-free
 //! representative rule (`crate::offer_representative`) — both
