@@ -69,6 +69,12 @@ const CACHE_SPEEDUP: u64 = 5;
 /// so the payload follows the block, not commands × instances.
 const SESSION_GROWTH_TENTHS: u64 = 22;
 
+/// The most the routed block's DRC may cost over the stretched one's
+/// at the same size. The two hold nearly as many flat shapes; the
+/// routed poly's overlapping river-route jogs must not make its check
+/// slower in kind.
+const DRC_ROUTED_OVER_STRETCHED: u64 = 4;
+
 /// The measures of every `<style>.<bits>` point beside its per-kind
 /// ones. Those ending in `_ns` are timings and must be positive.
 const MEASURES: [&str; 16] = [
@@ -298,6 +304,8 @@ fn connectors(lib: &mut Library, cell: &str) -> Result<(u64, u64), Box<dyn Error
 ///   one `bits` (one per gate, plus the bring-out);
 /// * the stretched block is DRC-clean, and neither block has a
 ///   violation other than the 2λ diffusion corner case;
+/// * the routed block's `drc_ns` is at most
+///   `DRC_ROUTED_OVER_STRETCHED` times the stretched block's;
 /// * from `CACHE_GATE_BITS` up, rebuilding world connectors costs at
 ///   least `CACHE_SPEEDUP` times the cached lookup;
 /// * the routed `session_bytes` grow at most
@@ -343,6 +351,12 @@ pub fn check(r: &Report) -> Result<(), String> {
         let v = stretched("violations")?;
         if v != 0 {
             return fail(format!("the stretched block has {v} DRC violations"));
+        }
+        let (rd, sd) = (routed("drc_ns")?, stretched("drc_ns")?);
+        if rd > sd.saturating_mul(DRC_ROUTED_OVER_STRETCHED) {
+            return fail(format!(
+                "routed DRC ({rd} ns) is over {DRC_ROUTED_OVER_STRETCHED}× stretched ({sd} ns)"
+            ));
         }
     }
     let session = r.axis("routed", "session_bytes");

@@ -1,6 +1,6 @@
-//! `riot-bench spatial`: naive vs indexed DRC and recursive vs memoized
-//! CIF flatten. Each pair is asserted to give identical results before
-//! its timings are kept.
+//! `riot-bench spatial`: the all-pairs DRC against `riot::drc::check`,
+//! and recursive vs memoized CIF flatten. Each pair is asserted to give
+//! identical results before its timings are kept.
 
 use crate::harness::{best_of, violation_keys, write, Flags, Report};
 use riot::drc::{naive, RuleSet};
@@ -16,8 +16,8 @@ pub const FLAGS: &[&str] = &[
     "--out",
 ];
 
-/// From CI's smoke size up, the indexed DRC must beat the all-pairs
-/// checker; on smaller inputs its setup can dominate.
+/// From CI's smoke size up, `check` must beat the all-pairs checker;
+/// on smaller inputs its setup can dominate.
 const GATE_SHAPES: u64 = 5_000;
 
 /// Measures, checks and writes the spatial report.
@@ -46,13 +46,9 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let rules = RuleSet::nmos();
     let (naive_ns, reference) = best_of(iters, || naive::check(&soup, &rules));
     let reference = violation_keys(reference);
-    let (indexed_ns, got) = best_of(iters, || riot::drc::check(&soup, &rules));
-    assert_eq!(
-        violation_keys(got),
-        reference,
-        "indexed DRC diverged from naive"
-    );
-    r.set("drc.indexed_ns", indexed_ns);
+    let (check_ns, got) = best_of(iters, || riot::drc::check(&soup, &rules));
+    assert_eq!(violation_keys(got), reference, "DRC diverged from naive");
+    r.set("drc.check_ns", check_ns);
     r.set("drc.naive_ns", naive_ns);
     r.set("drc.violations", reference.len() as u64);
 
@@ -73,12 +69,12 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     r.set("flatten.memo_misses", stats.memo_misses as u64);
 
     eprintln!(
-        "drc: {shapes} shapes, {} violations, naive {}, indexed {} ({:.1}x)\n\
+        "drc: {shapes} shapes, {} violations, naive {}, check {} ({:.1}x)\n\
          flatten: {} shapes, recursive {}, memo {} ({:.1}x)",
         reference.len(),
         fmt_ns(naive_ns),
-        fmt_ns(indexed_ns),
-        naive_ns as f64 / indexed_ns as f64,
+        fmt_ns(check_ns),
+        naive_ns as f64 / check_ns as f64,
         stats.shapes,
         fmt_ns(recursive_ns),
         fmt_ns(memo_ns),
@@ -88,8 +84,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
 }
 
 /// The spatial report's checks: every timing positive, every count
-/// present, and from `GATE_SHAPES` up the indexed DRC faster than
-/// naive.
+/// present, and from `GATE_SHAPES` up `check` faster than naive.
 ///
 /// # Errors
 ///
@@ -109,17 +104,17 @@ pub fn check(r: &Report) -> Result<(), String> {
     }
     for name in [
         "drc.naive_ns",
-        "drc.indexed_ns",
+        "drc.check_ns",
         "flatten.recursive_ns",
         "flatten.memo_ns",
     ] {
         r.positive(name)?;
     }
     let (shapes, naive_ns) = (r.param("shapes")?, r.get("drc.naive_ns")?);
-    let indexed_ns = r.get("drc.indexed_ns")?;
-    if shapes >= GATE_SHAPES && indexed_ns >= naive_ns {
+    let check_ns = r.get("drc.check_ns")?;
+    if shapes >= GATE_SHAPES && check_ns >= naive_ns {
         return Err(format!(
-            "indexed DRC ({indexed_ns} ns) is not faster than naive ({naive_ns} ns) at {shapes} shapes"
+            "DRC ({check_ns} ns) is not faster than naive ({naive_ns} ns) at {shapes} shapes"
         ));
     }
     Ok(())

@@ -17,11 +17,11 @@ fn baseline(name: &str) -> Report {
 }
 
 #[test]
-fn spatial_indexed_drc_beats_naive_at_10k_shapes() {
+fn spatial_drc_beats_naive_at_10k_shapes() {
     let r = baseline("BENCH_spatial.json");
     assert_eq!(r.suite, "spatial");
     assert_eq!(r.param("shapes").unwrap(), 10_000);
-    assert!(r.get("drc.indexed_ns").unwrap() < r.get("drc.naive_ns").unwrap());
+    assert!(r.get("drc.check_ns").unwrap() < r.get("drc.naive_ns").unwrap());
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! suite's checks at 4, 8 and 16 bits, and those checks refuse a report
 //! that breaks the paper's shape claim, drops a series, overruns the
 //! live pass, holds a DRC violation other than the known corner case,
-//! or holds a routed session that grows faster than the block.
+//! checks the routed block over 4× slower than the stretched one, or
+//! holds a routed session that grows faster than the block.
 
 use riot_bench::fig9::{check, sweep, STYLES};
 use riot_bench::harness::Report;
@@ -59,6 +60,13 @@ fn check_refuses_broken_reports() {
         r.metrics.insert("routed.16.other_violations".into(), 1);
     });
     assert!(other.contains("other than the 2λ"), "{other}");
+
+    let slow_drc = refusal(|r| {
+        let stretched = r.get("stretched.8.drc_ns").unwrap();
+        r.metrics
+            .insert("routed.8.drc_ns".into(), 4 * stretched + 1);
+    });
+    assert!(slow_drc.contains("over 4× stretched"), "{slow_drc}");
 
     let over = refusal(|r| {
         r.metrics.insert("routed.8.live_ns".into(), 1);

@@ -8,14 +8,19 @@
 //! marks it dead), a spatial index over the arena's head (the tail of
 //! slots added since the last index build is the overlay, scanned
 //! linearly), and one spacing representative per component pair.
-//! Width violations are a sorted multiset. A layer is checked in one
-//! pass: bucket its rects, index them, label components, then pick
-//! spacing representatives.
+//! Width violations are a sorted multiset.
 //!
+//! * **Build.** A layer is checked in one pass. One plane sweep
+//!   ([`riot_geom::sweep::pairs_within`] at `space - 1`) lists every
+//!   slot's neighbours; the labels come from its touching pairs and the
+//!   spacing representatives from all of them. `build` builds no
+//!   index: a fresh arena is all overlay, and the first patch indexes
+//!   it before its first query.
 //! * **Labels.** A flood over touching live slots, with an explicit
-//!   stack of index queries, gives each component a fresh label.
-//!   `build` floods from every slot. A patch floods from the added
-//!   rects and from the live neighbours of the removed ones.
+//!   stack, gives each component a fresh label. `build` floods from
+//!   every slot over the sweep's lists. A patch floods from the added
+//!   rects and from the live neighbours of the removed ones, querying
+//!   the index plus overlay.
 //! * **Diff.** The dirty old slots come from querying each layer's
 //!   index plus overlay with the dirty rects, so that side costs
 //!   O(damage). The dirty new rects come from a bounding-box scan of
@@ -23,9 +28,10 @@
 //!   the two rect multisets are diffed, and rects on both sides stay.
 //!   Width entries are replaced wherever their `at` touches the damage.
 //! * **Patch.** Only the flooded slots are relabelled, and only
-//!   spacing pairs with a flooded slot are re-measured, so the patch
-//!   costs O(damage). The flood's visited set is the rebuild set, so
-//!   it is closed under touching by construction.
+//!   spacing pairs with a flooded slot are re-measured through the
+//!   index plus overlay, so the patch costs O(damage). The flood's
+//!   visited set is the rebuild set, so it is closed under touching by
+//!   construction.
 //!
 //! # Contract
 //!
@@ -54,7 +60,7 @@ use crate::{
     Violation,
 };
 use riot_cif::{FlatShape, Geometry};
-use riot_geom::{index::SpatialIndex, Layer, Rect};
+use riot_geom::{index::SpatialIndex, sweep, Layer, Rect};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Once this many slots of a layer are dead, or this many sit in its
@@ -82,42 +88,113 @@ struct LayerState {
     live_rects: usize,
     /// Connected-component label per slot; [`DEAD`] for a removed one.
     label: Vec<u64>,
-    /// Index over `rects[..index.len()]`. The slots after it are the
-    /// overlay.
-    index: SpatialIndex,
+    /// Index over the arena's head, `rects[..index.len()]`; the slots
+    /// after it are the overlay. `None` until the first patch indexes
+    /// the arena, so a fresh state is all overlay.
+    index: Option<SpatialIndex>,
     /// Spacing representative per component pair (labels ordered).
     spacing: HashMap<(u64, u64), (i64, Rect, Rect)>,
 }
 
+/// Where [`LayerState::flood`] and [`LayerState::pair`] find a slot's
+/// neighbours.
+enum Near<'a> {
+    /// The slot lists of one sweep over the whole arena, in `build`.
+    Swept(&'a Swept),
+    /// Queries of the index plus overlay, in a patch.
+    Indexed,
+}
+
+/// Every slot's neighbours within its layer's `space - 1`, from one
+/// [`sweep::pairs_within`]: slot `s`'s list is
+/// `near[start[s]..start[s + 1]]`.
+struct Swept {
+    start: Vec<usize>,
+    near: Vec<u32>,
+}
+
+impl Swept {
+    fn new(rects: &[Rect], dist: i64) -> Swept {
+        let mut pairs = Vec::new();
+        sweep::pairs_within(rects, dist, |a, b| pairs.push((a, b)));
+        let mut start = vec![0; rects.len() + 1];
+        for &(a, b) in &pairs {
+            start[a as usize + 1] += 1;
+            start[b as usize + 1] += 1;
+        }
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut fill = start.clone();
+        let mut near = vec![0; 2 * pairs.len()];
+        for (a, b) in pairs {
+            for (from, to) in [(a, b), (b, a)] {
+                near[fill[from as usize]] = to;
+                fill[from as usize] += 1;
+            }
+        }
+        Swept { start, near }
+    }
+}
+
 impl LayerState {
-    /// Indexes, labels and pairs `rects` from scratch.
+    /// Labels and pairs `rects` from scratch, finding every slot's
+    /// neighbours with one sweep. Builds no index: the arena is all
+    /// overlay until the first patch.
     fn build(rects: Vec<Rect>, space: i64, next_label: &mut u64) -> LayerState {
         let _sp = riot_trace::span!("drc.layer", rects = rects.len() as u64);
         let n = rects.len();
+        let swept = Swept::new(&rects, (space - 1).max(0));
         let mut layer = LayerState {
             space,
-            index: SpatialIndex::build(&rects),
+            index: None,
             rects,
             live_rects: n,
             label: vec![0; n],
             spacing: HashMap::new(),
         };
-        let fresh = *next_label;
-        layer.flood(0..n as u32, next_label, |_, _| {});
-        layer.pair(0..n as u32, fresh);
+        let (fresh, near) = (*next_label, Near::Swept(&swept));
+        layer.flood(&near, 0..n as u32, next_label, |_, _| {});
+        layer.pair(&near, 0..n as u32, fresh);
         layer
+    }
+
+    /// The number of slots the index covers; the rest are the overlay.
+    fn indexed(&self) -> usize {
+        self.index.as_ref().map_or(0, SpatialIndex::len)
     }
 
     /// Slots, dead ones included, whose axis gap to `window` is at most
     /// `dist` on both axes, from the index plus the overlay.
     fn neighbors(&self, window: Rect, dist: i64, out: &mut Vec<u32>) {
         out.clear();
-        out.extend(self.index.within(window, dist).map(|s| s as u32));
-        for s in self.index.len()..self.rects.len() {
+        if let Some(index) = &self.index {
+            out.extend(index.within(window, dist).map(|s| s as u32));
+        }
+        for s in self.indexed()..self.rects.len() {
             let (dx, dy) = axis_gaps(self.rects[s], window);
             if dx <= dist && dy <= dist {
                 out.push(s as u32);
             }
+        }
+    }
+
+    /// Slot `s`'s neighbours from `src` into `out`: the slots touching
+    /// it when `touch`, else those within `space - 1`. Either list may
+    /// hold `s` itself and dead slots.
+    fn near(&self, src: &Near, s: u32, touch: bool, out: &mut Vec<u32>) {
+        let r = self.rects[s as usize];
+        match src {
+            Near::Swept(swept) => {
+                out.clear();
+                let list = &swept.near[swept.start[s as usize]..swept.start[s as usize + 1]];
+                if touch {
+                    out.extend(list.iter().filter(|&&t| self.rects[t as usize].touches(r)));
+                } else {
+                    out.extend_from_slice(list);
+                }
+            }
+            Near::Indexed => self.neighbors(r, if touch { 0 } else { self.space - 1 }, out),
         }
     }
 
@@ -127,6 +204,7 @@ impl LayerState {
     /// already labelled at or above the first fresh label is done.
     fn flood(
         &mut self,
+        src: &Near,
         seeds: impl IntoIterator<Item = u32>,
         next_label: &mut u64,
         mut visit: impl FnMut(u32, u64),
@@ -151,7 +229,7 @@ impl LayerState {
                     }
                 }
                 let Some(s) = stack.pop() else { break };
-                self.neighbors(self.rects[s as usize], 0, &mut near);
+                self.near(src, s, true, &mut near);
             }
         }
     }
@@ -160,14 +238,14 @@ impl LayerState {
     /// component pair's representative. `slots` must be every slot
     /// labelled `fresh` or above, so a pair of two such slots is
     /// offered once, from its lower slot.
-    fn pair(&mut self, slots: impl IntoIterator<Item = u32>, fresh: u64) {
+    fn pair(&mut self, src: &Near, slots: impl IntoIterator<Item = u32>, fresh: u64) {
         if self.space <= 0 {
             return;
         }
         let mut near = Vec::new();
         for s in slots {
             let (rs, ls) = (self.rects[s as usize], self.label[s as usize]);
-            self.neighbors(rs, self.space - 1, &mut near);
+            self.near(src, s, false, &mut near);
             for &t in &near {
                 let lt = self.label[t as usize];
                 if lt == ls || lt == DEAD || (t < s && lt >= fresh) {
@@ -219,13 +297,13 @@ impl LayerState {
 
         let fresh = *next_label;
         let mut rebuild = Vec::new();
-        self.flood(seeds, next_label, |s, old| {
+        self.flood(&Near::Indexed, seeds, next_label, |s, old| {
             rebuild.push(s);
             stale.insert(old);
         });
         self.spacing
             .retain(|(a, b), _| !stale.contains(a) && !stale.contains(b));
-        self.pair(rebuild.iter().copied(), fresh);
+        self.pair(&Near::Indexed, rebuild.iter().copied(), fresh);
         self.maybe_rebuild_index();
         rebuild.len()
     }
@@ -236,7 +314,7 @@ impl LayerState {
     /// slots; the spacing map names labels, not slots.
     fn maybe_rebuild_index(&mut self) {
         let dead = self.rects.len() - self.live_rects;
-        let overlay = self.rects.len() - self.index.len();
+        let overlay = self.rects.len() - self.indexed();
         if dead.max(overlay) < OVERLAY_REBUILD {
             return;
         }
@@ -245,7 +323,7 @@ impl LayerState {
             .collect();
         self.rects = live.iter().map(|&s| self.rects[s]).collect();
         self.label = live.iter().map(|&s| self.label[s]).collect();
-        self.index = SpatialIndex::build(&self.rects);
+        self.index = Some(SpatialIndex::build(&self.rects));
     }
 }
 
@@ -386,8 +464,9 @@ pub fn check_incremental(state: &mut DrcState, dirty: &[Rect], shapes: &[FlatSha
     let mut diffs = Vec::new();
     for &(layer, _) in &state.rules.rules {
         let new = fresh.remove(&layer).unwrap_or_default();
-        let (live, old) = match state.layers.get(&layer) {
+        let (live, old) = match state.layers.get_mut(&layer) {
             Some(ls) => {
+                ls.maybe_rebuild_index();
                 let slots = ls.touching(dirty);
                 let keyed = slots.iter().map(|&s| (rect_key(ls.rects[s as usize]), s));
                 (ls.live_rects, keyed.collect())
@@ -671,6 +750,40 @@ mod tests {
         assert_eq!(labels.len(), 4, "four pieces, four labels");
         check_incremental(&mut state, &dirty, &whole);
         assert!(state.violations().is_empty());
+        assert_eq!(state.full_rebuilds(), 0);
+    }
+
+    #[test]
+    fn first_patch_indexes_a_fresh_layer() {
+        let rules = RuleSet::nmos();
+        let l = LAMBDA;
+        // A clean lattice of 4λ metal boxes 4λ apart, more than the
+        // overlay holds.
+        let lattice = |i: i64| {
+            let (x, y) = (i % 64 * 8 * l, i / 64 * 8 * l);
+            boxed(Layer::Metal, Rect::new(x, y, x + 4 * l, y + 4 * l))
+        };
+        let n = OVERLAY_REBUILD + 100;
+        let before: Vec<FlatShape> = (0..n as i64).map(lattice).collect();
+        let mut state = DrcState::build(&before, &rules);
+        assert!(
+            state.layers[&Layer::Metal].index.is_none(),
+            "build indexes nothing"
+        );
+        // Box 0 moves 2λ right, 2λ from box 1: a spacing violation.
+        let mut after = before.clone();
+        after[0] = boxed(Layer::Metal, Rect::new(2 * l, 0, 6 * l, 4 * l));
+        let dirty = [
+            before[0].geometry.bounding_box(),
+            after[0].geometry.bounding_box(),
+        ];
+        for shapes in [&after, &before, &after] {
+            check_incremental(&mut state, &dirty, shapes);
+            assert_eq!(canon(state.violations()), canon(check(shapes, &rules)));
+            let metal = &state.layers[&Layer::Metal];
+            assert_eq!(metal.index.as_ref().map(SpatialIndex::len), Some(n));
+        }
+        assert_eq!(state.violations().len(), 1);
         assert_eq!(state.full_rebuilds(), 0);
     }
 

@@ -13,8 +13,12 @@
 //! There is one engine. [`DrcState::build`] checks a shape list from
 //! scratch and keeps what it computed; [`check`] is that build plus
 //! its report, and [`check_incremental`] patches the kept state after
-//! an edit. The all-pairs [`naive`] checker is kept apart as the
-//! reference the tests compare against.
+//! an edit. The build finds every layer's nearby pairs with one plane
+//! sweep ([`riot_geom::sweep`]) and builds no spatial index, so a fresh
+//! state is all overlay; a patch queries each layer's index plus
+//! overlay, and the first patch indexes the layer. The all-pairs
+//! [`naive`] checker is kept apart as the reference the tests compare
+//! against.
 //!
 //! # Example
 //!
@@ -202,10 +206,13 @@ pub(crate) fn painted_rects(shape: &FlatShape) -> Vec<Rect> {
 /// spacing-checked against each other.
 ///
 /// This is [`DrcState::build`] followed by [`DrcState::violations`], so
-/// the full check and [`check_incremental`] share one engine. Layers
-/// are checked one after another on the caller's thread, so every
-/// `drc.layer` span stays in the caller's trace. The
-/// result comes in the state's canonical order: width violations
+/// the full check and [`check_incremental`] share one engine. Each
+/// layer's labels and spacing pairs come from one plane sweep over its
+/// painted rects, O((n + k) log n) for n rects and k pairs within
+/// `min_space - 1`, and no spatial index is built. Layers are checked
+/// one after another on the caller's thread, so every `drc.layer` span
+/// and its `geom.sweep` child stay in the caller's trace. The result
+/// comes in the state's canonical order: width violations
 /// sorted by `(layer, at, measured, required)`, then each checked
 /// layer's spacing violations, layers in [`Layer`] order and each
 /// layer's in `(measured, a, b)` order. As a multiset it equals the

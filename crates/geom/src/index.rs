@@ -1,13 +1,15 @@
 //! An immutable spatial index over rectangles: a bucketed uniform grid.
 //!
-//! The geometry hot paths (DRC spacing, connected-component discovery,
-//! damage-repaint clipping) all ask the same question — *which
-//! rectangles are near this one?* — and until this module existed they
-//! all answered it with an all-pairs scan. [`SpatialIndex`] answers it
-//! in roughly O(k) per query after an O(n log n) build: rectangles are
-//! binned into a √n × √n grid of buckets (CSR layout, two-pass build,
-//! no per-bucket allocation), and a query gathers the buckets its
-//! window overlaps, deduplicates, and filters exactly.
+//! Window queries — *which rectangles touch this window?* — come from
+//! the DRC patch, the render cache's damage repaint and the grid
+//! router's obstacles. [`SpatialIndex`] answers one in roughly O(k)
+//! after an O(n log n) build: rectangles are binned into a √n × √n grid
+//! of buckets (CSR layout, two-pass build, no per-bucket allocation),
+//! and a query gathers the buckets its window overlaps, deduplicates,
+//! and filters exactly. A full check, which wants every nearby pair at
+//! once, uses one plane sweep ([`crate::sweep`]) instead: a long
+//! rectangle fills many buckets, and every query along it pays for
+//! them.
 //!
 //! The index is **immutable** once built and contains only plain data
 //! plus atomic counters, so shared references can be queried freely
@@ -32,7 +34,6 @@
 //! assert_eq!(near, vec![0, 2]);
 //! ```
 
-use crate::point::Point;
 use crate::rect::Rect;
 use std::sync::Arc;
 
@@ -138,16 +139,6 @@ impl SpatialIndex {
         self.rects[id]
     }
 
-    /// All indexed rectangles, in id order.
-    pub fn rects(&self) -> &[Rect] {
-        &self.rects
-    }
-
-    /// Bounding box of everything indexed (`Rect::default()` when empty).
-    pub fn bounds(&self) -> Rect {
-        self.bounds
-    }
-
     /// Ids of all rectangles that touch `window` (boundary contact
     /// counts, matching [`Rect::touches`]), in ascending id order.
     pub fn query(&self, window: Rect) -> impl Iterator<Item = usize> + '_ {
@@ -167,45 +158,6 @@ impl SpatialIndex {
         assert!(dist >= 0, "within() needs a non-negative distance");
         let grown = window.inflated(dist);
         self.query(grown)
-    }
-
-    /// The id and L∞ gap of the rectangle nearest to `p` (0 when `p`
-    /// is inside one), or `None` for an empty index. Ties resolve to
-    /// the lowest id.
-    pub fn nearest(&self, p: Point) -> Option<(usize, i64)> {
-        if self.rects.is_empty() {
-            return None;
-        }
-        self.queries.inc();
-        let (pc, pr) = self.bucket_of(p);
-        let mut best: Option<(usize, i64)> = None;
-        let max_ring = self.cols.max(self.rows);
-        for ring in 0..=max_ring {
-            // Once a candidate is in hand, stop as soon as every
-            // unvisited bucket lies farther than the best gap: the
-            // frame of visited buckets encloses `p` by at least
-            // `enclosure` world units on every side.
-            if let Some((_, gap)) = best {
-                let enclosure = self.frame_enclosure(pc, pr, ring, p);
-                if enclosure > gap {
-                    break;
-                }
-            }
-            for (col, row) in ring_buckets(pc, pr, ring, self.cols, self.rows) {
-                let b = row * self.cols + col;
-                let lo = self.bucket_start[b] as usize;
-                let hi = self.bucket_start[b + 1] as usize;
-                for &id in &self.entries[lo..hi] {
-                    let gap = rect_point_gap(self.rects[id as usize], p);
-                    let cand = (id as usize, gap);
-                    best = Some(match best {
-                        Some(b) if (b.1, b.0) <= (cand.1, cand.0) => b,
-                        _ => cand,
-                    });
-                }
-            }
-        }
-        best
     }
 
     /// Candidate ids from every bucket overlapping `window`, sorted
@@ -237,63 +189,6 @@ impl SpatialIndex {
         ids.dedup();
         ids
     }
-
-    /// The bucket containing `p`, clamped into the grid.
-    fn bucket_of(&self, p: Point) -> (usize, usize) {
-        let col = ((p.x - self.bounds.x0) / self.cell_w).clamp(0, self.cols as i64 - 1) as usize;
-        let row = ((p.y - self.bounds.y0) / self.cell_h).clamp(0, self.rows as i64 - 1) as usize;
-        (col, row)
-    }
-
-    /// How far, in world units, `p` is from the outside of the square
-    /// frame of buckets `ring` wide around `(pc, pr)`. Anything in an
-    /// unvisited bucket is at least this far away.
-    fn frame_enclosure(&self, pc: usize, pr: usize, ring: usize, p: Point) -> i64 {
-        let r = ring as i64;
-        let fx0 = self.bounds.x0 + (pc as i64 - r) * self.cell_w;
-        let fx1 = self.bounds.x0 + (pc as i64 + r + 1) * self.cell_w;
-        let fy0 = self.bounds.y0 + (pr as i64 - r) * self.cell_h;
-        let fy1 = self.bounds.y0 + (pr as i64 + r + 1) * self.cell_h;
-        (p.x - fx0).min(fx1 - p.x).min(p.y - fy0).min(fy1 - p.y)
-    }
-}
-
-/// The L∞ gap from a point to a rectangle: 0 inside/on the boundary.
-fn rect_point_gap(r: Rect, p: Point) -> i64 {
-    let dx = (r.x0 - p.x).max(p.x - r.x1).max(0);
-    let dy = (r.y0 - p.y).max(p.y - r.y1).max(0);
-    dx.max(dy)
-}
-
-/// Buckets on the Chebyshev ring `ring` around `(pc, pr)`, clipped to
-/// the grid.
-fn ring_buckets(
-    pc: usize,
-    pr: usize,
-    ring: usize,
-    cols: usize,
-    rows: usize,
-) -> Vec<(usize, usize)> {
-    let (pc, pr, ring) = (pc as i64, pr as i64, ring as i64);
-    let mut out = Vec::new();
-    let mut push = |c: i64, r: i64| {
-        if c >= 0 && r >= 0 && c < cols as i64 && r < rows as i64 {
-            out.push((c as usize, r as usize));
-        }
-    };
-    if ring == 0 {
-        push(pc, pr);
-        return out;
-    }
-    for c in (pc - ring)..=(pc + ring) {
-        push(c, pr - ring);
-        push(c, pr + ring);
-    }
-    for r in (pr - ring + 1)..(pr + ring) {
-        push(pc - ring, r);
-        push(pc + ring, r);
-    }
-    out
 }
 
 /// The inclusive `(col, row)` bucket ranges a rectangle overlaps.
@@ -351,7 +246,6 @@ mod tests {
         let idx = SpatialIndex::build(&[]);
         assert!(idx.is_empty());
         assert_eq!(idx.query(Rect::new(0, 0, 10, 10)).count(), 0);
-        assert_eq!(idx.nearest(Point::new(0, 0)), None);
     }
 
     #[test]
@@ -414,41 +308,6 @@ mod tests {
             let a: Vec<usize> = idx.query(r).collect();
             let b: Vec<usize> = idx.within(r, 0).collect();
             assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn nearest_finds_the_closest_rect() {
-        let rects = grid_rects(10, 10, 8, 100);
-        let idx = SpatialIndex::build(&rects);
-        // Inside rect (3, 4) => id 3 * 10 + 4, gap 0.
-        assert_eq!(idx.nearest(Point::new(304, 402)), Some((34, 0)));
-        // Just right of rect (0, 0): gap 2.
-        assert_eq!(idx.nearest(Point::new(10, 4)), Some((0, 2)));
-        // Far outside the grid: the corner rect wins.
-        let (id, gap) = idx.nearest(Point::new(2000, 2000)).unwrap();
-        assert_eq!(id, 99);
-        assert_eq!(gap, 2000 - 908);
-    }
-
-    #[test]
-    fn nearest_agrees_with_naive_scan() {
-        let rects = grid_rects(7, 3, 10, 37);
-        let idx = SpatialIndex::build(&rects);
-        for p in [
-            Point::new(0, 0),
-            Point::new(-50, 80),
-            Point::new(300, 50),
-            Point::new(130, 130),
-            Point::new(36, 36),
-        ] {
-            let naive = rects
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| (rect_point_gap(r, p), i))
-                .min()
-                .map(|(g, i)| (i, g));
-            assert_eq!(idx.nearest(p), naive, "point {p}");
         }
     }
 

@@ -9,9 +9,11 @@
 //! connectors.
 //!
 //! Beyond the paper's 500 lines, this crate also hosts the shared
-//! performance primitive of the reproduction: an immutable bucketed
-//! spatial index over rectangles ([`index`]). It lives here because
-//! every geometry hot path (DRC, render, grid routing) builds on it.
+//! performance primitives of the reproduction: an immutable bucketed
+//! spatial index over rectangles for window queries ([`index`]; the DRC
+//! patch, render and grid routing build on it), and a plane sweep that
+//! reports every pair of nearby rectangles at once ([`sweep`]; the full
+//! DRC builds on it).
 //!
 //! # Units
 //!
@@ -41,6 +43,7 @@ pub mod path;
 pub mod point;
 pub mod rect;
 pub mod side;
+pub mod sweep;
 pub mod transform;
 pub mod units;
 

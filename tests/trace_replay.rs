@@ -151,9 +151,9 @@ fn replay_emits_a_span_per_journaled_command_kind() {
 
     // The geometry pipeline (flatten → DRC → device render) runs on its
     // caller's thread, so every span it emits lands in the caller's
-    // trace: the memoized flattener, the indexed checker with one
-    // `drc.layer` span per checked layer (metal and poly here) and the
-    // index each of those builds, and the device render.
+    // trace: the memoized flattener, the checker with one `drc.layer`
+    // span per checked layer (metal and poly here) and the plane sweep
+    // each of those runs, and the device render.
     riot::trace::enable(true);
     let root = riot::trace::span("test.pipeline");
     let root_id = root.id();
@@ -203,8 +203,8 @@ fn replay_emits_a_span_per_journaled_command_kind() {
         assert!(
             in_trace
                 .iter()
-                .any(|r| r.name == "geom.index.build" && r.parent == *layer),
-            "drc.layer span {layer} has no geom.index.build child in the caller's trace"
+                .any(|r| r.name == "geom.sweep" && r.parent == *layer),
+            "drc.layer span {layer} has no geom.sweep child in the caller's trace"
         );
     }
     for r in &in_trace {
